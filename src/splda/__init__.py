@@ -2,14 +2,12 @@
 pseudo-labeling."""
 
 from .data import (
-    ClassPartition,
     DomainDataset,
     LABELING_MODES,
     PseudoLabelSet,
     RunConfig,
     SELECTION_MODES,
     ValidatedPair,
-    partition_by_class,
     validate_pair,
 )
 from .dataio import evaluate, gen_synthetic, load_features, save_features
@@ -41,13 +39,12 @@ from .preprocess import (
     pca_transform,
 )
 from .selection import SelectionPlan, plan_selection, select
-from .subspace import SimilarityGraph, SlppModel, build_graph, embed, slpp_fit
+from .subspace import SlppModel, embed, slpp_fit
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdaptationResult",
-    "ClassPartition",
     "ClusterSet",
     "DomainDataset",
     "EigenPairs",
@@ -62,11 +59,9 @@ __all__ = [
     "RunConfig",
     "SELECTION_MODES",
     "SelectionPlan",
-    "SimilarityGraph",
     "SlppModel",
     "ValidatedPair",
     "ZeroVectorWarning",
-    "build_graph",
     "compute_prototypes",
     "embed",
     "evaluate",
@@ -79,7 +74,6 @@ __all__ = [
     "match_clusters",
     "ncp_probabilities",
     "nn_baseline",
-    "partition_by_class",
     "pca_fit",
     "pca_transform",
     "plan_selection",

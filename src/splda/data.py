@@ -106,27 +106,12 @@ class PseudoLabelSet:
 
 
 @dataclass(frozen=True)
-class ClassPartition:
-    """Target indices grouped by pseudo-label class."""
-
-    indices_by_class: tuple
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([idx.size for idx in self.indices_by_class], dtype=int)
-
-
-def partition_by_class(pl: PseudoLabelSet, n_classes: int) -> ClassPartition:
-    groups = []
-    for c in range(n_classes):
-        rows = np.flatnonzero(pl.classes == c)
-        groups.append(pl.indices[rows])
-    return ClassPartition(indices_by_class=tuple(groups))
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Adaptation hyperparameters; echoed verbatim into results and reports."""
+    """Adaptation hyperparameters; echoed verbatim into results and reports.
+
+    No stage of a run is random, so ``seed`` changes no prediction; it is
+    kept as a recorded field of the report schema.
+    """
 
     pca_dim: int
     subspace_dim: int = 128

@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 from .data import PseudoLabelSet
 from .linalg import solve_assignment
-from .preprocess import l2_normalize_columns
+from .preprocess import class_sums, l2_normalize_columns
 
 KMEANS_MAX_ITER = 100
 
@@ -52,8 +52,7 @@ def compute_prototypes(embedded, labels, n_classes: int | None = None) -> Protot
     if (counts == 0).any():
         missing = np.flatnonzero(counts == 0).tolist()
         raise ValueError(f"no samples for class(es) {missing}")
-    sums = np.zeros((x.shape[0], n_classes))
-    np.add.at(sums.T, labels, x.T)
+    sums = class_sums(x, labels, n_classes)
     return PrototypeSet(vectors=l2_normalize_columns(sums / counts))
 
 
@@ -86,16 +85,14 @@ def sp_probabilities(tgt_embedded, matched: ClusterSet) -> np.ndarray:
     return _softmax_neg_distance(_distance_table(tgt_embedded, matched.centers))
 
 
-def kmeans_clusters(tgt_embedded, init: PrototypeSet, seed: int = 0,
+def kmeans_clusters(tgt_embedded, init: PrototypeSet,
                     max_iter: int = KMEANS_MAX_ITER) -> ClusterSet:
     """Lloyd iterations seeded at the class prototypes.
 
     Runs until the assignment reaches a fixpoint or ``max_iter`` sweeps.
     An emptied cluster is re-seeded at the sample farthest from its own
-    center. The run is deterministic; ``seed`` is accepted for interface
-    stability but the prototype seeding leaves nothing random.
+    center. The prototype seeding leaves nothing random.
     """
-    del seed
     x = np.asarray(tgt_embedded, dtype=float)
     k = init.n_classes
     n = x.shape[1]

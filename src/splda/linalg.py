@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels used throughout the pipeline.
 
 Three operations are provided: symmetric eigendecomposition, generalized
-symmetric-definite eigendecomposition (reduced to standard form through a
-Cholesky factorization), and an exact minimum-cost assignment solver.
+symmetric-definite eigendecomposition (both through ``scipy.linalg.eigh``),
+and an exact minimum-cost assignment solver.
 Everything is deterministic: eigenvector signs are canonicalized and
 assignment ties are resolved lexicographically.
 """
@@ -10,7 +10,7 @@ assignment ties are resolved lexicographically.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+import scipy.linalg
 
 _SYM_TOL = 1e-10
 
@@ -36,13 +36,6 @@ class Matching:
     """Bijection between two equally sized index sets: i -> assignment[i]."""
 
     assignment: np.ndarray
-
-    def as_matrix(self) -> np.ndarray:
-        """0/1 matrix with exactly one 1 per row and per column."""
-        n = self.assignment.size
-        a = np.zeros((n, n))
-        a[np.arange(n), self.assignment] = 1.0
-        return a
 
     def total_cost(self, cost: np.ndarray) -> float:
         n = self.assignment.size
@@ -70,16 +63,21 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _eigh_descending(m: np.ndarray):
+def _eigh_descending(a: np.ndarray, b: np.ndarray | None = None):
+    """All eigenpairs of ``a`` (or of the pencil ``a``, ``b``), largest first."""
     try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK's implicit-shift QL/QR sweep is capped at 30 iterations per
-        # eigenvalue; report that bound since the library hides the counter.
-        raise NumericalError(
-            f"symmetric eigendecomposition failed to converge within "
-            f"{30 * m.shape[0]} implicit-shift iterations: {exc}"
-        ) from exc
+        if b is None:
+            values, vectors = scipy.linalg.eigh(a, driver="evd")
+        else:
+            values, vectors = scipy.linalg.eigh(a, b)
+    except scipy.linalg.LinAlgError as exc:
+        if b is not None:
+            _, info = scipy.linalg.lapack.dpotrf(b, lower=1)
+            if info > 0:
+                raise NumericalError(
+                    f"b is not positive definite: Cholesky failed at pivot {info}"
+                ) from exc
+        raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     return values[::-1], vectors[:, ::-1]
 
 
@@ -102,10 +100,10 @@ def sym_eig(m, k: int) -> EigenPairs:
 def gen_eig(a, b, k: int) -> EigenPairs:
     """Top-k pairs of the symmetric-definite pencil ``a p = value * b p``.
 
-    ``b`` must be positive definite. The pencil is reduced to a standard
-    symmetric problem through the Cholesky factorization ``b = L L^T``:
-    eigenvectors ``y`` of ``L^-1 a L^-T`` are back-transformed as
-    ``p = L^-T y`` and then normalized to unit length.
+    ``b`` must be positive definite; otherwise a NumericalError names the
+    pivot at which its Cholesky factorization fails. The pencil is solved
+    by LAPACK's divide-and-conquer generalized driver (``scipy.linalg.eigh``
+    with ``b``); the returned vectors are rescaled to unit length.
     """
     a = _checked_symmetric(a, "a")
     b = _checked_symmetric(b, "b")
@@ -114,19 +112,8 @@ def gen_eig(a, b, k: int) -> EigenPairs:
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    chol, info = lapack.dpotrf(b, lower=1, clean=1)
-    if info > 0:
-        raise NumericalError(
-            f"b is not positive definite: Cholesky failed at pivot {info}"
-        )
-    if info < 0:
-        raise NumericalError(f"Cholesky factorization of b rejected argument {-info}")
-    # c = L^-1 a L^-T, symmetrized to absorb rounding
-    half = solve_triangular(chol, a, lower=True)
-    c = solve_triangular(chol, half.T, lower=True).T
-    c = 0.5 * (c + c.T)
-    values, y = _eigh_descending(c)
-    p = solve_triangular(chol, y[:, :k], lower=True, trans="T")
+    values, vectors = _eigh_descending(a, b)
+    p = vectors[:, :k]
     p = p / np.linalg.norm(p, axis=0, keepdims=True)
     return EigenPairs(values=values[:k].copy(), vectors=_canonical_signs(p))
 

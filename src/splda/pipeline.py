@@ -49,7 +49,11 @@ class IterationSnapshot:
 
 @dataclass(frozen=True)
 class AdaptationResult:
-    """Final target predictions plus the per-iteration trace of the run."""
+    """Final target predictions plus the per-iteration trace of the run.
+
+    ``predictions`` are in the caller's class ids, not the dense ids used
+    internally.
+    """
 
     predictions: np.ndarray
     snapshots: tuple
@@ -79,11 +83,11 @@ class AdaptationResult:
         }
 
 
-def _pseudo_label_all(tgt_embedded, protos, mode: str, seed: int) -> PseudoLabelSet:
+def _pseudo_label_all(tgt_embedded, protos, mode: str) -> PseudoLabelSet:
     p1 = ncp_probabilities(tgt_embedded, protos) if mode in ("ncp", "fused") else None
     p2 = None
     if mode in ("sp", "fused"):
-        clusters = kmeans_clusters(tgt_embedded, protos, seed=seed)
+        clusters = kmeans_clusters(tgt_embedded, protos)
         matched = match_clusters(clusters, protos)
         p2 = sp_probabilities(tgt_embedded, matched)
     return fuse_and_label(p1, p2, mode)
@@ -115,7 +119,7 @@ def run(src: DomainDataset, tgt: DomainDataset, config: RunConfig) -> Adaptation
             zs = embed(model, xs)
             zt = embed(model, xt)
             protos = compute_prototypes(zs, ys, pair.n_classes)
-            return _pseudo_label_all(zt, protos, config.labeling, config.seed)
+            return _pseudo_label_all(zt, protos, config.labeling)
 
         def snapshot(k: int, n_selected: int, pl: PseudoLabelSet) -> IterationSnapshot:
             acc = None if truth is None else evaluate(pl.classes, truth)
@@ -125,13 +129,17 @@ def run(src: DomainDataset, tgt: DomainDataset, config: RunConfig) -> Adaptation
         pseudo = label_all(model)
         snapshots = [snapshot(0, 0, pseudo)]
         for k in range(1, config.iterations + 1):
+            if config.selection == "none":
+                # no pseudo-label ever joins the fit: the source-only model stands
+                snapshots.append(replace(snapshots[0], iteration=k))
+                continue
             chosen = select(pseudo, k, config.iterations, config.selection)
             model = fit(chosen)
             pseudo = label_all(model)
             snapshots.append(snapshot(k, len(chosen), pseudo))
         recorded = [str(w.message) for w in caught]
     return AdaptationResult(
-        predictions=pseudo.classes,
+        predictions=np.asarray(pair.label_names)[pseudo.classes],
         snapshots=tuple(snapshots),
         model=model,
         config=config,

@@ -1,4 +1,4 @@
-"""Dimensionality reduction and per-sample normalization.
+"""Dimensionality reduction, per-sample normalization and class sums.
 
 PCA is fit once on the pooled source+target matrix. Centering is done by
 explicit mean subtraction, and the eigendecomposition runs on whichever of
@@ -101,3 +101,10 @@ def l2_normalize_columns(x) -> np.ndarray:
             ZeroVectorWarning,
         )
     return x / np.where(zero, 1.0, norms)
+
+
+def class_sums(x, ids, n_classes: int) -> np.ndarray:
+    """d x n_classes matrix whose column c sums the columns of x with id c."""
+    sums = np.zeros((x.shape[0], n_classes))
+    np.add.at(sums.T, ids, x.T)
+    return sums

@@ -1,8 +1,9 @@
 """Supervised locality-preserving projection onto the aligned subspace.
 
 The projection pulls same-class samples together regardless of their
-domain: the similarity graph connects two samples exactly when their labels
-match, and the projection solves the induced generalized eigenproblem.
+domain. Its similarity graph connects two samples exactly when their labels
+match, so both scatter matrices of the induced generalized eigenproblem
+follow from per-class column sums; the m x m graph is never formed.
 Embeddings are centered on the mean of all source and target projections
 and then L2-normalized.
 """
@@ -12,16 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .preprocess import l2_normalize_columns
-
-
-@dataclass(frozen=True)
-class SimilarityGraph:
-    """Label-equality adjacency with its degree vector and Laplacian."""
-
-    adjacency: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
+from .preprocess import class_sums, l2_normalize_columns
 
 
 @dataclass(frozen=True)
@@ -36,31 +28,28 @@ class SlppModel:
         return self.projection.shape[1]
 
 
-def build_graph(labels) -> SimilarityGraph:
-    """Dense 0/1 similarity graph: adjacency(i, j) = 1 iff labels match."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a 1-D sequence")
-    try:
-        adjacency = (labels[:, None] == labels[None, :]).astype(float)
-        degree = adjacency.sum(axis=1)
-        laplacian = np.diag(degree) - adjacency
-    except MemoryError as exc:
-        gib = 3 * 8 * labels.size**2 / 2**30
-        raise MemoryError(
-            f"dense similarity graph for {labels.size} samples needs about "
-            f"{gib:.1f} GiB; reduce the labeled set or add memory"
-        ) from exc
-    return SimilarityGraph(adjacency=adjacency, degree=degree, laplacian=laplacian)
+def _pencil(x: np.ndarray, labels: np.ndarray):
+    """``(X D X^T, X L X^T + I)`` of the label-equality graph, from class sums.
+
+    With S the matrix of class sums and ``deg[i]`` the size of sample i's
+    class, ``X D X^T = (X * deg) X^T`` and ``X L X^T = X D X^T - S S^T``.
+    """
+    _, ids, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    sums = class_sums(x, ids, counts.size)
+    a = (x * counts[ids]) @ x.T
+    b = a - sums @ sums.T + np.eye(x.shape[0])
+    return 0.5 * (a + a.T), 0.5 * (b + b.T)
 
 
 def slpp_fit(labeled_data, labels, n_components: int, all_data=None) -> SlppModel:
     """Fit the projection on labeled columns (source plus selected targets).
 
     Solves ``X D X^T p = value (X L X^T + I) p`` for the top eigenvectors,
-    where D and L come from the label-equality graph. ``all_data`` supplies
-    the full source+target matrix over which the embedding mean is taken;
-    it defaults to the labeled columns.
+    where D and L are the degree matrix and Laplacian of the graph that
+    links samples with equal labels. Labels may be any integers; only their
+    equality matters. ``all_data`` supplies the full source+target matrix
+    over which the embedding mean is taken; it defaults to the labeled
+    columns.
     """
     x = np.asarray(labeled_data, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -71,10 +60,7 @@ def slpp_fit(labeled_data, labels, n_components: int, all_data=None) -> SlppMode
         raise ValueError(f"labels must align with the {m} data columns")
     if not 1 <= n_components <= d:
         raise ValueError(f"n_components must be in 1..{d}, got {n_components}")
-    graph = build_graph(labels)
-    a = (x * graph.degree) @ x.T
-    b = x @ graph.laplacian @ x.T + np.eye(d)
-    pairs = linalg.gen_eig(0.5 * (a + a.T), 0.5 * (b + b.T), n_components)
+    pairs = linalg.gen_eig(*_pencil(x, labels), n_components)
     projection = pairs.vectors
     reference = x if all_data is None else np.asarray(all_data, dtype=float)
     if reference.shape[0] != d:

@@ -5,7 +5,6 @@ from splda.data import (
     DomainDataset,
     PseudoLabelSet,
     RunConfig,
-    partition_by_class,
     validate_pair,
 )
 
@@ -137,9 +136,3 @@ class TestPseudoLabelSet:
 
     def test_empty(self):
         assert len(PseudoLabelSet.empty()) == 0
-
-    def test_partition_by_class(self):
-        pl = PseudoLabelSet([4, 7, 1, 3], [0, 2, 0, 1], [0.9, 0.8, 0.7, 0.6])
-        part = partition_by_class(pl, 4)
-        assert [idx.tolist() for idx in part.indices_by_class] == [[4, 1], [3], [7], []]
-        assert part.counts.tolist() == [2, 1, 1, 0]

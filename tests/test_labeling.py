@@ -89,7 +89,7 @@ class TestKmeans:
     def test_samples_already_at_prototypes(self):
         protos = PrototypeSet(vectors=np.eye(3))
         x = np.eye(3)[:, [0, 0, 1, 2, 2]]
-        clusters = kmeans_clusters(x, protos, seed=0)
+        clusters = kmeans_clusters(x, protos)
         np.testing.assert_allclose(clusters.centers, protos.vectors, atol=1e-12)
         assert clusters.membership.tolist() == [0, 0, 1, 2, 2]
 
@@ -128,8 +128,8 @@ class TestKmeans:
     def test_deterministic(self, rng):
         x = rng.normal(size=(3, 40))
         protos = PrototypeSet(vectors=rng.normal(size=(3, 4)))
-        first = kmeans_clusters(x, protos, seed=1)
-        second = kmeans_clusters(x, protos, seed=1)
+        first = kmeans_clusters(x, protos)
+        second = kmeans_clusters(x, protos)
         np.testing.assert_array_equal(first.membership, second.membership)
         np.testing.assert_array_equal(first.centers, second.centers)
 

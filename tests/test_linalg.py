@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splda.linalg import Matching, NumericalError, gen_eig, solve_assignment, sym_eig
+from splda.linalg import NumericalError, gen_eig, solve_assignment, sym_eig
 
 from conftest import brute_force_assignment, random_spd
 
@@ -168,9 +168,8 @@ class TestSolveAssignment:
         assert m.assignment.tolist() == perm.tolist() == [0, 1, 2]
 
     def test_matching_matrix_is_permutation(self, rng):
-        mat = solve_assignment(rng.uniform(0, 1, size=(5, 5))).as_matrix()
-        np.testing.assert_array_equal(mat.sum(axis=0), np.ones(5))
-        np.testing.assert_array_equal(mat.sum(axis=1), np.ones(5))
+        assignment = solve_assignment(rng.uniform(0, 1, size=(5, 5))).assignment
+        assert sorted(assignment.tolist()) == list(range(5))
 
     def test_single_entry(self):
         assert solve_assignment([[3.0]]).assignment.tolist() == [0]
@@ -207,10 +206,3 @@ def test_matching_requires_alignment():
     with pytest.raises(ValueError):
         from splda.linalg import EigenPairs
         EigenPairs(values=np.ones(2), vectors=np.ones((3, 3)))
-
-
-def test_matching_as_matrix_roundtrip():
-    m = Matching(assignment=np.array([2, 0, 1]))
-    a = m.as_matrix()
-    assert a[0, 2] == a[1, 0] == a[2, 1] == 1.0
-    assert a.sum() == 3.0

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from splda import pipeline
 from splda.data import DomainDataset, RunConfig
 from splda.dataio import gen_synthetic
 from splda.pipeline import nn_baseline, run, run_ablation
@@ -39,6 +41,36 @@ class TestRun:
         accs = {s.accuracy for s in result.snapshots}
         assert len(accs) == 1
         assert all(s.selected_count == 0 for s in result.snapshots)
+
+    @pytest.mark.parametrize("selection", ["none", "all", "progressive"])
+    def test_slpp_fit_count(self, monkeypatch, selection):
+        calls = []
+        real_fit = pipeline.slpp_fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "slpp_fit", counting_fit)
+        src, tgt = easy_pair(seed=4, shift=3.0)
+        run(src, tgt, easy_config(iterations=4, selection=selection))
+        assert len(calls) == (1 if selection == "none" else 5)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=10**6),
+                    min_size=4, max_size=4, unique=True))
+    def test_predictions_follow_injective_relabeling(self, names):
+        src, tgt = easy_pair(seed=16, shift=3.0)
+        mapping = np.array(names)
+        renamed_src = DomainDataset(src.features, labels=mapping[src.labels])
+        renamed_tgt = DomainDataset(tgt.features, eval_labels=mapping[tgt.eval_labels],
+                                    domain="target")
+        base = run(src, tgt, easy_config())
+        renamed = run(renamed_src, renamed_tgt, easy_config())
+        np.testing.assert_array_equal(renamed.predictions, mapping[base.predictions])
+        assert renamed.to_dict()["predictions"] == mapping[base.predictions].tolist()
+        assert ([s.accuracy for s in renamed.snapshots]
+                == [s.accuracy for s in base.snapshots])
 
     def test_snapshot_layout(self):
         src, tgt = easy_pair(seed=5, shift=2.0)

@@ -3,42 +3,66 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
-from splda.subspace import build_graph, embed, slpp_fit
+from splda.subspace import _pencil, embed, slpp_fit
+
+
+def build_graph(labels):
+    """Dense label-equality graph: the reference the closed-form pencil must match.
+
+    Returns the m x m adjacency (1 iff labels match), the degree vector and
+    the Laplacian ``diag(degree) - adjacency``.
+    """
+    labels = np.asarray(labels, dtype=int)
+    adjacency = (labels[:, None] == labels[None, :]).astype(float)
+    degree = adjacency.sum(axis=1)
+    return adjacency, degree, np.diag(degree) - adjacency
 
 
 def pencil_matrices(data, labels):
-    graph = build_graph(labels)
-    a = (data * graph.degree) @ data.T
-    b = data @ graph.laplacian @ data.T + np.eye(data.shape[0])
+    _, degree, laplacian = build_graph(labels)
+    a = (data * degree) @ data.T
+    b = data @ laplacian @ data.T + np.eye(data.shape[0])
     return 0.5 * (a + a.T), 0.5 * (b + b.T)
 
 
 class TestBuildGraph:
     def test_three_labels(self):
-        graph = build_graph([0, 0, 1])
-        np.testing.assert_array_equal(
-            graph.adjacency, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-        np.testing.assert_array_equal(graph.degree, [2, 2, 1])
+        adjacency, degree, _ = build_graph([0, 0, 1])
+        np.testing.assert_array_equal(adjacency, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(degree, [2, 2, 1])
 
     def test_all_equal_labels(self):
         n = 5
-        graph = build_graph(np.zeros(n, dtype=int))
-        np.testing.assert_array_equal(graph.adjacency, np.ones((n, n)))
-        np.testing.assert_array_equal(graph.laplacian, n * np.eye(n) - np.ones((n, n)))
+        adjacency, _, laplacian = build_graph(np.zeros(n, dtype=int))
+        np.testing.assert_array_equal(adjacency, np.ones((n, n)))
+        np.testing.assert_array_equal(laplacian, n * np.eye(n) - np.ones((n, n)))
 
     def test_laplacian_rows_sum_to_zero(self, rng):
         labels = rng.integers(0, 4, size=30)
-        graph = build_graph(labels)
-        np.testing.assert_allclose(graph.laplacian @ np.ones(30), 0.0, atol=1e-12)
-
-    def test_depends_only_on_label_equality(self, rng):
-        labels = rng.integers(0, 3, size=12)
-        shifted = labels + 7
-        np.testing.assert_array_equal(build_graph(labels).adjacency,
-                                      build_graph(shifted).adjacency)
+        _, _, laplacian = build_graph(labels)
+        np.testing.assert_allclose(laplacian @ np.ones(30), 0.0, atol=1e-12)
 
 
 class TestSlppFit:
+    def test_closed_form_pencil_matches_dense_graph(self, rng):
+        for trial in range(5):
+            data = rng.normal(size=(9, 60))
+            # sparse and negative ids, including singleton classes
+            labels = rng.choice([-40, -3, 0, 2, 17, 10**6], size=60)
+            labels[:2] = [-99, 123]
+            for ours, oracle in zip(_pencil(data, labels),
+                                    pencil_matrices(data, labels)):
+                err = np.linalg.norm(ours - oracle) / np.linalg.norm(oracle)
+                assert err <= 1e-12, (trial, err)
+
+    def test_depends_only_on_label_equality(self, rng):
+        data = rng.normal(size=(6, 24))
+        labels = rng.integers(0, 3, size=24)
+        model = slpp_fit(data, labels, 3)
+        shifted = slpp_fit(data, labels + 7, 3)
+        np.testing.assert_array_equal(model.projection, shifted.projection)
+        np.testing.assert_array_equal(model.embedding_mean, shifted.embedding_mean)
+
     def test_two_classes_on_a_line(self):
         rng = np.random.default_rng(5)
         n = 40

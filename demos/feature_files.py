@@ -39,5 +39,7 @@ print(f"   schema_version : {report['schema_version']}")
 print(f"   config         : {task['config']}")
 print(f"   per-iteration  : {[round(a, 1) for a in task['iteration_accuracy']]}")
 print(f"   selected counts: {task['selected_counts']}")
+print(f"   predictions    : {task['predictions'][:10]} ... "
+      f"({len(task['predictions'])} target samples, in the files' class ids)")
 print(f"   batch average  : {report['batch']['average_final_accuracy']:.1f}")
 print(f"\nartifacts kept in {workdir}")

@@ -29,7 +29,16 @@ from .linalg import (
     solve_assignment,
     sym_eig,
 )
-from .pipeline import AdaptationResult, IterationSnapshot, nn_baseline, run, run_ablation
+from .pipeline import (
+    AdaptationResult,
+    IterationSnapshot,
+    PreparedPair,
+    nn_baseline,
+    prepare,
+    run,
+    run_ablation,
+    run_prepared,
+)
 from .preprocess import (
     PcaModel,
     RankTruncationWarning,
@@ -53,6 +62,7 @@ __all__ = [
     "Matching",
     "NumericalError",
     "PcaModel",
+    "PreparedPair",
     "PrototypeSet",
     "PseudoLabelSet",
     "RankTruncationWarning",
@@ -77,8 +87,10 @@ __all__ = [
     "pca_fit",
     "pca_transform",
     "plan_selection",
+    "prepare",
     "run",
     "run_ablation",
+    "run_prepared",
     "save_features",
     "select",
     "slpp_fit",

@@ -2,21 +2,26 @@
 
 Batch tasks run independently (optionally in parallel); one failing task
 marks its record as failed and flips the exit code but never aborts its
-siblings. Reports are single JSON documents with a fixed schema version,
-serialized with sorted keys so equal results produce equal bytes.
+siblings. ``adapt`` and ``ablate`` load and prepare each source/target pair
+once, then run each of its configs (one for adapt, the nine grid cells for
+ablate) on the prepared pair as a task of its own. Reports are single JSON
+documents with a fixed schema version, serialized with sorted keys so equal
+results produce equal bytes.
 """
 
 import argparse
 import json
+import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from .data import LABELING_MODES, RunConfig, SELECTION_MODES
 from .dataio import gen_synthetic, load_features, save_features
-from .pipeline import nn_baseline, run
+from .pipeline import nn_baseline, prepare, run_prepared
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def build_report(command: str, records: list) -> dict:
@@ -42,44 +47,119 @@ def _write_report(report: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _adapt_task(task: dict) -> dict:
-    """Worker for one source->target adaptation; returns a report record."""
-    record = {
-        "source": task["source"],
-        "target": task["target"],
-        "config": task["config"],
+def _record(source: str, target: str, config: dict) -> dict:
+    return {
+        "source": source,
+        "target": target,
+        "config": config,
         "status": "ok",
         "iteration_accuracy": None,
         "selected_counts": None,
         "final_accuracy": None,
+        "predictions": None,
         "wall_time_s": None,
         "warnings": [],
         "error": None,
     }
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _baseline_task(task: dict) -> dict:
+    """Worker for one 1NN baseline; returns a report record."""
+    record = _record(task["source"], task["target"], {})
     started = time.perf_counter()
     try:
         src = load_features(task["source"], domain="source")
         tgt = load_features(task["target"], domain="target")
-        if task.get("baseline"):
-            record["final_accuracy"] = nn_baseline(src, tgt)
-        else:
-            result = run(src, tgt, RunConfig(**task["config"]))
-            record["iteration_accuracy"] = [s.accuracy for s in result.snapshots]
-            record["selected_counts"] = [s.selected_count for s in result.snapshots]
-            record["final_accuracy"] = result.final_accuracy
-            record["warnings"] = list(result.warnings)
+        record["final_accuracy"] = nn_baseline(src, tgt)
     except Exception as exc:  # noqa: BLE001 - any task failure is reportable
         record["status"] = "failed"
-        record["error"] = f"{type(exc).__name__}: {exc}"
+        record["error"] = _describe(exc)
     record["wall_time_s"] = time.perf_counter() - started
     return record
 
 
-def _run_tasks(tasks: list, jobs: int) -> list:
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_adapt_task, tasks))
-    return [_adapt_task(t) for t in tasks]
+def _prepare_task(task: dict) -> dict:
+    """Worker that loads one pair and prepares it; returns the pair or the error."""
+    started = time.perf_counter()
+    prepared = error = None
+    try:
+        src = load_features(task["source"], domain="source")
+        tgt = load_features(task["target"], domain="target")
+        # the config is checked before the pair, as a single run checks it
+        prepared = prepare(src, tgt, RunConfig(**task["config"]).pca_dim)
+    except Exception as exc:  # noqa: BLE001 - any task failure is reportable
+        error = _describe(exc)
+    return {"prepared": prepared, "error": error,
+            "wall_time_s": time.perf_counter() - started}
+
+
+def _cell_task(task: dict) -> dict:
+    """Worker that runs one config on a prepared pair; returns a report record."""
+    record = _record(task["source"], task["target"], task["config"])
+    started = time.perf_counter()
+    try:
+        result = run_prepared(task["prepared"], RunConfig(**task["config"]))
+        record["iteration_accuracy"] = [s.accuracy for s in result.snapshots]
+        record["selected_counts"] = [s.selected_count for s in result.snapshots]
+        record["final_accuracy"] = result.final_accuracy
+        record["predictions"] = result.predictions.tolist()
+        record["warnings"] = list(result.warnings)
+    except Exception as exc:  # noqa: BLE001 - any task failure is reportable
+        record["status"] = "failed"
+        record["error"] = _describe(exc)
+    record["wall_time_s"] = time.perf_counter() - started
+    return record
+
+
+def _run_tasks(worker, tasks: list, pool) -> list:
+    if pool is not None and len(tasks) > 1:
+        return list(pool.map(worker, tasks))
+    return [worker(t) for t in tasks]
+
+
+@contextmanager
+def _pool(jobs: int):
+    if jobs > 1:
+        # spawned workers start from a fresh import; forking a process that
+        # may already run BLAS threads is unsafe
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            yield pool
+    else:
+        yield None
+
+
+def _run_cells(pairs: list, configs: list, jobs: int) -> list:
+    """Prepare each pair once, then run every config on it; one record per cell.
+
+    A pair that fails to prepare gets one failed record per config, all with
+    its error. Loading and preparing a pair is timed into its record only
+    when the pair has a single config (adapt); ablate's cells share it, so
+    each cell's time is its own loop.
+    """
+    with _pool(jobs) as pool:
+        stage = _run_tasks(_prepare_task, [
+            {"source": s, "target": t, "config": configs[0]} for s, t in pairs], pool)
+        cells = [{"source": s, "target": t, "config": c, "prepared": p["prepared"]}
+                 for (s, t), p in zip(pairs, stage) if p["error"] is None
+                 for c in configs]
+        done = iter(_run_tasks(_cell_task, cells, pool))
+    records = []
+    for (s, t), p in zip(pairs, stage):
+        shared = p["wall_time_s"] if len(configs) == 1 else 0.0
+        for c in configs:
+            if p["error"] is None:
+                record = next(done)
+            else:
+                record = _record(s, t, c)
+                record.update(status="failed", error=p["error"], wall_time_s=0.0)
+            record["wall_time_s"] += shared
+            records.append(record)
+    return records
 
 
 def _finish(command: str, records: list, args) -> int:
@@ -114,33 +194,29 @@ def _pairs(args) -> list:
     return list(zip(args.source, args.target))
 
 
-def _cmd_adapt(args) -> int:
-    config = {
+def _config(args, labeling: str, selection: str) -> dict:
+    return {
         "pca_dim": args.d1, "subspace_dim": args.d2, "iterations": args.iters,
-        "labeling": args.labeling, "selection": args.selection, "seed": args.seed,
+        "labeling": labeling, "selection": selection, "seed": args.seed,
     }
-    tasks = [{"source": s, "target": t, "config": config} for s, t in _pairs(args)]
-    return _finish("adapt", _run_tasks(tasks, args.jobs), args)
+
+
+def _cmd_adapt(args) -> int:
+    configs = [_config(args, args.labeling, args.selection)]
+    return _finish("adapt", _run_cells(_pairs(args), configs, args.jobs), args)
 
 
 def _cmd_ablate(args) -> int:
-    tasks = []
-    for s, t in _pairs(args):
-        for labeling in LABELING_MODES:
-            for selection in SELECTION_MODES:
-                config = {
-                    "pca_dim": args.d1, "subspace_dim": args.d2,
-                    "iterations": args.iters, "labeling": labeling,
-                    "selection": selection, "seed": args.seed,
-                }
-                tasks.append({"source": s, "target": t, "config": config})
-    return _finish("ablate", _run_tasks(tasks, args.jobs), args)
+    configs = [_config(args, labeling, selection)
+               for labeling in LABELING_MODES for selection in SELECTION_MODES]
+    return _finish("ablate", _run_cells(_pairs(args), configs, args.jobs), args)
 
 
 def _cmd_baseline(args) -> int:
-    tasks = [{"source": s, "target": t, "config": {}, "baseline": True}
-             for s, t in _pairs(args)]
-    return _finish("baseline-1nn", _run_tasks(tasks, args.jobs), args)
+    tasks = [{"source": s, "target": t} for s, t in _pairs(args)]
+    with _pool(args.jobs) as pool:
+        records = _run_tasks(_baseline_task, tasks, pool)
+    return _finish("baseline-1nn", records, args)
 
 
 def _cmd_synth(args) -> int:

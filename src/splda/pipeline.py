@@ -1,7 +1,8 @@
 """End-to-end iterative adaptation: fit, pseudo-label, select, repeat.
 
-A run performs PCA once on the pooled data, fits the aligned subspace on
-source data alone, pseudo-labels every target sample, then alternates for
+A run prepares its pair once (validation, PCA on the pooled data and L2
+normalization; see :func:`prepare`), fits the aligned subspace on source
+data alone, pseudo-labels every target sample, then alternates for
 a fixed number of iterations between admitting a growing high-confidence
 subset of pseudo-labels into the fit and relabeling all targets. Target
 ground truth is consulted only to fill the accuracy fields of the
@@ -12,7 +13,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import (
     DomainDataset,
@@ -34,8 +34,6 @@ from .labeling import (
 from .preprocess import l2_normalize_columns, pca_fit, pca_transform
 from .selection import select
 from .subspace import SlppModel, embed, slpp_fit
-
-_NN_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -93,19 +91,73 @@ def _pseudo_label_all(tgt_embedded, protos, mode: str) -> PseudoLabelSet:
     return fuse_and_label(p1, p2, mode)
 
 
-def run(src: DomainDataset, tgt: DomainDataset, config: RunConfig) -> AdaptationResult:
-    """Execute the full adaptation loop and predict labels for all targets."""
+@dataclass(frozen=True)
+class PreparedPair:
+    """A validated pair after PCA and L2 normalization, ready for the loop.
+
+    ``source`` and ``target`` are the d1 x n matrices of normalized PCA
+    coordinates, read-only because every run on the pair shares them; the
+    raw features are not kept. ``source_labels`` and ``target_truth`` are
+    dense 0-based ids that ``label_names`` maps back to the caller's class
+    ids. ``warnings`` holds the messages raised while preparing, and
+    ``pca_dim`` the component count that was requested.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    source_labels: np.ndarray
+    target_truth: np.ndarray | None
+    label_names: tuple
+    pca_dim: int
+    warnings: tuple = ()
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.label_names)
+
+
+def prepare(src: DomainDataset, tgt: DomainDataset, pca_dim: int) -> PreparedPair:
+    """Validate a pair, fit PCA once on it and normalize both sides."""
     pair = validate_pair(src, tgt)
-    truth = pair.target.eval_labels
-    recorded: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pca = pca_fit(pair.source, pair.target, config.pca_dim)
+        pca = pca_fit(pair.source, pair.target, pca_dim)
         xs = l2_normalize_columns(pca_transform(pca, pair.source.features))
         xt = l2_normalize_columns(pca_transform(pca, pair.target.features))
+    for x in (xs, xt):
+        x.setflags(write=False)
+    return PreparedPair(
+        source=xs,
+        target=xt,
+        source_labels=pair.source.labels,
+        target_truth=pair.target.eval_labels,
+        label_names=pair.label_names,
+        pca_dim=pca_dim,
+        warnings=tuple(str(w.message) for w in caught),
+    )
+
+
+def run(src: DomainDataset, tgt: DomainDataset, config: RunConfig) -> AdaptationResult:
+    """Execute the full adaptation loop and predict labels for all targets."""
+    return run_prepared(prepare(src, tgt, config.pca_dim), config)
+
+
+def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
+    """Run the adaptation loop on a pair that :func:`prepare` has made.
+
+    The result's warnings are the preparation's followed by the loop's.
+    """
+    if config.pca_dim != prepared.pca_dim:
+        raise ValueError(
+            f"config.pca_dim={config.pca_dim} but the pair was prepared "
+            f"with pca_dim={prepared.pca_dim}"
+        )
+    xs, xt, ys = prepared.source, prepared.target, prepared.source_labels
+    truth = prepared.target_truth
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         pooled = np.hstack([xs, xt])
-        ys = pair.source.labels
-        subspace_dim = min(config.subspace_dim, pca.n_components)
+        subspace_dim = min(config.subspace_dim, xs.shape[0])
 
         def fit(selected: PseudoLabelSet) -> SlppModel:
             if len(selected) == 0:
@@ -118,7 +170,7 @@ def run(src: DomainDataset, tgt: DomainDataset, config: RunConfig) -> Adaptation
         def label_all(model: SlppModel) -> PseudoLabelSet:
             zs = embed(model, xs)
             zt = embed(model, xt)
-            protos = compute_prototypes(zs, ys, pair.n_classes)
+            protos = compute_prototypes(zs, ys, prepared.n_classes)
             return _pseudo_label_all(zt, protos, config.labeling)
 
         def snapshot(k: int, n_selected: int, pl: PseudoLabelSet) -> IterationSnapshot:
@@ -137,31 +189,45 @@ def run(src: DomainDataset, tgt: DomainDataset, config: RunConfig) -> Adaptation
             model = fit(chosen)
             pseudo = label_all(model)
             snapshots.append(snapshot(k, len(chosen), pseudo))
-        recorded = [str(w.message) for w in caught]
     return AdaptationResult(
-        predictions=np.asarray(pair.label_names)[pseudo.classes],
+        predictions=np.asarray(prepared.label_names)[pseudo.classes],
         snapshots=tuple(snapshots),
         model=model,
         config=config,
-        n_classes=pair.n_classes,
-        warnings=tuple(recorded),
+        n_classes=prepared.n_classes,
+        warnings=prepared.warnings + tuple(str(w.message) for w in caught),
     )
 
 
 def run_ablation(src: DomainDataset, tgt: DomainDataset,
                  base_config: RunConfig) -> dict:
-    """Run the full labeling-mode x selection-mode grid.
+    """Run the full labeling-mode x selection-mode grid on one pair.
 
-    Returns a dict keyed by (labeling, selection). With selection "none" no
-    pseudo-labels ever join the fit, so every iteration reuses the
-    source-only projection.
+    The pair is prepared once (validation, PCA at ``base_config.pca_dim``
+    and normalization) and all nine cells run on it. Returns a dict keyed
+    by (labeling, selection). With selection "none" no pseudo-labels ever
+    join the fit, so every iteration reuses the source-only projection.
     """
-    results = {}
-    for labeling in LABELING_MODES:
-        for selection in SELECTION_MODES:
-            cfg = replace(base_config, labeling=labeling, selection=selection)
-            results[(labeling, selection)] = run(src, tgt, cfg)
-    return results
+    prepared = prepare(src, tgt, base_config.pca_dim)
+    return {
+        (labeling, selection): run_prepared(
+            prepared, replace(base_config, labeling=labeling, selection=selection))
+        for labeling in LABELING_MODES
+        for selection in SELECTION_MODES
+    }
+
+
+def _nearest(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Index of the Euclidean-nearest column of ``s`` for each column of ``t``.
+
+    Columns are unit or zero vectors, so ||t - s||^2 = ||t||^2 + ||s||^2 -
+    2 t.s ranks the sources like ||s||^2 - 2 t.s, and one matrix product does
+    the work. For unit sources this is the argmax of t.s.
+    """
+    scores = t.T @ s
+    scores *= -2.0
+    scores += np.einsum("ij,ij->j", s, s)
+    return np.argmin(scores, axis=1)
 
 
 def nn_baseline(src: DomainDataset, tgt: DomainDataset) -> float:
@@ -175,9 +241,5 @@ def nn_baseline(src: DomainDataset, tgt: DomainDataset) -> float:
         raise ValueError("1NN baseline needs target ground truth in eval_labels")
     s = l2_normalize_columns(pair.source.features)
     t = l2_normalize_columns(pair.target.features)
-    predictions = np.empty(pair.target.n_samples, dtype=int)
-    for start in range(0, t.shape[1], _NN_CHUNK):
-        block = t[:, start:start + _NN_CHUNK]
-        nearest = np.argmin(cdist(block.T, s.T), axis=1)
-        predictions[start:start + _NN_CHUNK] = pair.source.labels[nearest]
+    predictions = pair.source.labels[_nearest(s, t)]
     return evaluate(predictions, pair.target.eval_labels)

@@ -4,16 +4,40 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from splda import pipeline
 from splda.data import DomainDataset, RunConfig
-from splda.dataio import gen_synthetic
-from splda.pipeline import nn_baseline, run, run_ablation
+from splda.dataio import evaluate, gen_synthetic
+from splda.pipeline import _nearest, nn_baseline, prepare, run, run_ablation, run_prepared
+from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
 
 
 def easy_pair(seed=0, shift=0.0, separation=10.0):
     return gen_synthetic(4, 25, 12, shift_magnitude=shift, seed=seed,
                          separation=separation)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def rank_deficient_pair():
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(3, 30))
+    lift = rng.normal(size=(10, 3))
+    src = DomainDataset(lift @ base[:, :15] + 0.5,
+                        labels=rng.integers(0, 2, size=15))
+    tgt = DomainDataset(lift @ base[:, 15:] + 0.5, domain="target")
+    return src, tgt
 
 
 def easy_config(**kw):
@@ -44,14 +68,7 @@ class TestRun:
 
     @pytest.mark.parametrize("selection", ["none", "all", "progressive"])
     def test_slpp_fit_count(self, monkeypatch, selection):
-        calls = []
-        real_fit = pipeline.slpp_fit
-
-        def counting_fit(*args, **kwargs):
-            calls.append(1)
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "slpp_fit", counting_fit)
+        calls = count_calls(monkeypatch, pipeline, "slpp_fit")
         src, tgt = easy_pair(seed=4, shift=3.0)
         run(src, tgt, easy_config(iterations=4, selection=selection))
         assert len(calls) == (1 if selection == "none" else 5)
@@ -123,16 +140,42 @@ class TestRun:
         assert run(src, tgt, cfg).config == cfg
 
     def test_subspace_dim_follows_rank_truncation(self):
-        rng = np.random.default_rng(11)
-        base = rng.normal(size=(3, 30))
-        lift = rng.normal(size=(10, 3))
-        src = DomainDataset(lift @ base[:, :15] + 0.5,
-                            labels=rng.integers(0, 2, size=15))
-        tgt = DomainDataset(lift @ base[:, 15:] + 0.5, domain="target")
+        src, tgt = rank_deficient_pair()
         cfg = RunConfig(pca_dim=10, subspace_dim=10, iterations=2)
         result = run(src, tgt, cfg)
         assert result.model.projection.shape[1] <= 3
         assert any("rank" in w for w in result.warnings)
+
+
+class TestPrepare:
+    def test_holds_normalized_pca_coordinates(self):
+        src, tgt = easy_pair(seed=17, shift=2.0)
+        prepared = prepare(src, tgt, 6)
+        assert prepared.source.shape == (6, src.n_samples)
+        assert prepared.target.shape == (6, tgt.n_samples)
+        np.testing.assert_allclose(np.linalg.norm(prepared.target, axis=0), 1.0)
+        assert prepared.n_classes == 4
+        assert prepared.warnings == ()
+
+    def test_run_is_prepare_then_loop(self):
+        src, tgt = easy_pair(seed=18, shift=3.0)
+        cfg = easy_config()
+        direct = json.dumps(run(src, tgt, cfg).to_dict(), sort_keys=True)
+        staged = run_prepared(prepare(src, tgt, cfg.pca_dim), cfg)
+        assert json.dumps(staged.to_dict(), sort_keys=True) == direct
+
+    def test_warnings_lead_the_result(self):
+        src, tgt = rank_deficient_pair()
+        prepared = prepare(src, tgt, 10)
+        assert any("rank" in w for w in prepared.warnings)
+        result = run_prepared(prepared, RunConfig(pca_dim=10, subspace_dim=10,
+                                                  iterations=2))
+        assert result.warnings[:len(prepared.warnings)] == prepared.warnings
+
+    def test_config_must_match_prepared_pca_dim(self):
+        src, tgt = easy_pair(seed=19)
+        with pytest.raises(ValueError, match="pca_dim"):
+            run_prepared(prepare(src, tgt, 10), easy_config())
 
 
 class TestRunAblation:
@@ -147,8 +190,60 @@ class TestRunAblation:
         np.testing.assert_array_equal(
             table[("fused", "none")].predictions, direct.predictions)
 
+    def test_pca_fit_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, pipeline, "pca_fit")
+        src, tgt = easy_pair(seed=12, shift=3.0)
+        run_ablation(src, tgt, easy_config(iterations=2))
+        assert len(calls) == 1
+
+    def test_cells_match_separate_runs(self):
+        src, tgt = easy_pair(seed=20, shift=3.0)
+        base = easy_config(iterations=3)
+        for (labeling, selection), cell in run_ablation(src, tgt, base).items():
+            alone = run(src, tgt, replace(base, labeling=labeling, selection=selection))
+            assert (json.dumps(cell.to_dict(), sort_keys=True)
+                    == json.dumps(alone.to_dict(), sort_keys=True))
+
+    def test_rank_warning_in_every_cell(self):
+        src, tgt = rank_deficient_pair()
+        table = run_ablation(src, tgt, RunConfig(pca_dim=10, subspace_dim=10,
+                                                 iterations=2))
+        assert all(any("rank" in w for w in r.warnings) for r in table.values())
+
+
+def cdist_nearest(s, t):
+    """Oracle for the 1NN search: argmin of explicit Euclidean distances."""
+    return np.argmin(cdist(t.T, s.T), axis=1)
+
 
 class TestNnBaseline:
+    @pytest.mark.parametrize("fixture", ["easy", "copy", "unrelated"])
+    def test_matches_cdist_oracle(self, fixture):
+        rng = np.random.default_rng(14)
+        xs, xt = {
+            "easy": lambda: [d.features for d in easy_pair(seed=13, shift=3.0)],
+            "copy": lambda: [easy_pair(seed=13)[0].features] * 2,
+            "unrelated": lambda: [rng.normal(size=(10, 1000)) for _ in range(2)],
+        }[fixture]()
+        s, t = l2_normalize_columns(xs), l2_normalize_columns(xt)
+        np.testing.assert_array_equal(_nearest(s, t), cdist_nearest(s, t))
+
+    def test_zero_columns_match_cdist_oracle(self):
+        src, tgt = easy_pair(seed=21, shift=2.0)
+        xs, xt = np.array(src.features), np.array(tgt.features)
+        xs[:, 3] = 0.0
+        xt[:, [0, 5]] = 0.0
+        with pytest.warns(ZeroVectorWarning):
+            s, t = l2_normalize_columns(xs), l2_normalize_columns(xt)
+        nearest = _nearest(s, t)
+        np.testing.assert_array_equal(nearest, cdist_nearest(s, t))
+        assert nearest[0] == nearest[5] == 3  # a zero target's nearest is the zero source
+        zeroed_src = DomainDataset(xs, labels=src.labels)
+        zeroed_tgt = DomainDataset(xt, eval_labels=tgt.eval_labels, domain="target")
+        with pytest.warns(ZeroVectorWarning):
+            accuracy = nn_baseline(zeroed_src, zeroed_tgt)
+        assert accuracy == evaluate(src.labels[nearest], tgt.eval_labels)
+
     def test_target_copy_of_source_is_perfect(self):
         src, _ = easy_pair(seed=13)
         tgt = DomainDataset(src.features, eval_labels=src.labels, domain="target")

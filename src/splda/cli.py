@@ -166,12 +166,18 @@ def _finish(command: str, records: list, args) -> int:
     if args.no_timing:
         for record in records:
             record["wall_time_s"] = None
+    # the cells of one pair share its prepare warnings and errors: print
+    # each distinct line once, while every record keeps its own
+    printed = set()
     for record in records:
         tag = f"{record['source']} -> {record['target']}"
-        for message in record["warnings"]:
-            print(f"warning [{tag}]: {message}", file=sys.stderr)
+        lines = [f"warning [{tag}]: {message}" for message in record["warnings"]]
         if record["status"] != "ok":
-            print(f"error [{tag}]: {record['error']}", file=sys.stderr)
+            lines.append(f"error [{tag}]: {record['error']}")
+        for line in lines:
+            if line not in printed:
+                printed.add(line)
+                print(line, file=sys.stderr)
     report = build_report(command, records)
     _write_report(report, args.report)
     for record in records:

@@ -104,7 +104,8 @@ def l2_normalize_columns(x) -> np.ndarray:
 
 
 def class_sums(x, ids, n_classes: int) -> np.ndarray:
-    """d x n_classes matrix whose column c sums the columns of x with id c."""
-    sums = np.zeros((x.shape[0], n_classes))
-    np.add.at(sums.T, ids, x.T)
-    return sums
+    """d x n_classes matrix whose column c sums the columns of x with id c.
+
+    Formed as one product with the n x n_classes indicator matrix of ids.
+    """
+    return x @ np.eye(n_classes)[ids]

@@ -32,13 +32,18 @@ def _pencil(x: np.ndarray, labels: np.ndarray):
     """``(X D X^T, X L X^T + I)`` of the label-equality graph, from class sums.
 
     With S the matrix of class sums and ``deg[i]`` the size of sample i's
-    class, ``X D X^T = (X * deg) X^T`` and ``X L X^T = X D X^T - S S^T``.
+    class, ``X D X^T = Y Y^T`` for ``Y = X * sqrt(deg)`` and
+    ``X L X^T = X D X^T - S S^T``. Both products have the form ``M M^T``,
+    which numpy computes as one symmetric product, so both matrices come
+    out exactly symmetric.
     """
     _, ids, counts = np.unique(labels, return_inverse=True, return_counts=True)
     sums = class_sums(x, ids, counts.size)
-    a = (x * counts[ids]) @ x.T
-    b = a - sums @ sums.T + np.eye(x.shape[0])
-    return 0.5 * (a + a.T), 0.5 * (b + b.T)
+    y = x * np.sqrt(counts[ids])
+    a = y @ y.T
+    b = a - sums @ sums.T
+    b.flat[::b.shape[0] + 1] += 1.0
+    return a, b
 
 
 def slpp_fit(labeled_data, labels, n_components: int, all_data=None) -> SlppModel:

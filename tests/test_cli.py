@@ -226,6 +226,20 @@ class TestAblate:
             assert task["status"] == "ok"
             assert "rank" in task["warnings"][0]
 
+    def test_stderr_prints_each_pair_message_once(self, pair_files, tmp_path, capsys):
+        deficient = rank_deficient_files(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# d=10 n=2 labeled=0\n-1 1 2\n")
+        code, text = run_ablate(tmp_path, [deficient, (pair_files[0], bad)])
+        assert code == 1
+        tasks = json.loads(text)["tasks"]
+        assert all(len(t["warnings"]) == 1 for t in tasks[:9])
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"warning [{deficient[0]} -> {deficient[1]}]: ")
+        assert "rank" in lines[0]
+        assert lines[1].startswith(f"error [{pair_files[0]} -> {bad}]: ValueError: ")
+
 
 class TestBaseline:
     def test_baseline_runs(self, pair_files, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from splda.linalg import NumericalError, gen_eig, solve_assignment, sym_eig
@@ -110,6 +111,39 @@ class TestGenEig:
                 p = pairs.vectors[:, j]
                 assert np.linalg.norm(a @ p - pairs.values[j] * (b @ p)) <= bound
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("extra, driver", [(0, "gvx"), (1, None)])
+    def test_top_k_matches_full_spectrum_oracle(self, n, extra, driver, monkeypatch):
+        # k = n // 8 is the largest k solved by the top-k driver; one more
+        # takes the full spectrum
+        k = n // 8 + extra
+        rng = np.random.default_rng(n + extra)
+        a = random_spd(rng, n)
+        b = random_spd(rng, n)
+        values, vectors = scipy.linalg.eigh(a, b)
+        oracle_values = values[::-1][:k]
+        oracle = vectors[:, ::-1][:, :k]
+        oracle /= np.linalg.norm(oracle, axis=0)
+        drivers = []
+        real_eigh = scipy.linalg.eigh
+
+        def spy(*args, **kwargs):
+            drivers.append(kwargs.get("driver"))
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        pairs = gen_eig(a, b, k)
+        assert drivers == [driver]
+        np.testing.assert_allclose(pairs.values, oracle_values, rtol=0, atol=1e-8)
+        signs = np.sign(np.sum(pairs.vectors * oracle, axis=0))
+        np.testing.assert_allclose(pairs.vectors, oracle * signs, rtol=0, atol=1e-8)
+        lead = np.argmax(np.abs(pairs.vectors), axis=0)
+        assert np.all(pairs.vectors[lead, np.arange(k)] > 0)
+        bound = 1e-8 * (np.linalg.norm(a, "fro") + np.linalg.norm(b, "fro"))
+        for j in range(k):
+            p = pairs.vectors[:, j]
+            assert np.linalg.norm(a @ p - pairs.values[j] * (b @ p)) <= bound
+
     def test_identity_b_agrees_with_sym_eig(self, rng):
         a = random_spd(rng, 9)
         np.testing.assert_allclose(gen_eig(a, np.eye(9), 5).values,
@@ -119,6 +153,12 @@ class TestGenEig:
         b = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(NumericalError, match="pivot 2"):
             gen_eig(np.eye(3), b, 1)
+
+    def test_indefinite_b_names_pivot_on_top_k_path(self):
+        b = np.eye(16)
+        b[4, 4] = -1.0
+        with pytest.raises(NumericalError, match="pivot 5"):
+            gen_eig(np.eye(16), b, 1)
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="order mismatch"):

@@ -6,6 +6,7 @@ from splda.preprocess import (
     PcaModel,
     RankTruncationWarning,
     ZeroVectorWarning,
+    class_sums,
     l2_normalize_columns,
     pca_fit,
     pca_transform,
@@ -18,6 +19,13 @@ def datasets_from(x, split=None):
     src = DomainDataset(x[:, :split], labels=np.zeros(split, dtype=int))
     tgt = DomainDataset(x[:, split:], domain="target")
     return src, tgt
+
+
+def scatter_add_class_sums(x, ids, n_classes):
+    """One np.add.at per column, the scatter-add definition."""
+    sums = np.zeros((x.shape[0], n_classes))
+    np.add.at(sums.T, ids, x.T)
+    return sums
 
 
 def explicit_scatter(x):
@@ -145,3 +153,17 @@ class TestL2Normalize:
     def test_all_nonzero_norms_tight(self, rng):
         out = l2_normalize_columns(rng.normal(size=(6, 50)))
         assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() <= 1e-12
+
+
+class TestClassSums:
+    def test_matches_scatter_add_oracle(self, rng):
+        # ids out of order; class 2 has no columns, class 4 a single one
+        ids = np.array([3, 0, 5, 1, 3, 0, 4, 5, 1, 3, 0, 1])
+        x = rng.normal(size=(7, ids.size))
+        oracle = scatter_add_class_sums(x, ids, 6)
+        sums = class_sums(x, ids, 6)
+        # summation order differs: relative to the summed magnitudes
+        assert np.all(np.abs(sums - oracle)
+                      <= 1e-12 * scatter_add_class_sums(np.abs(x), ids, 6))
+        assert np.all(sums[:, 2] == 0.0)
+        np.testing.assert_array_equal(sums[:, 4], x[:, 6])

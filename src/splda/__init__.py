@@ -1,101 +1,49 @@
 """Unsupervised domain adaptation by subspace alignment with selective
-pseudo-labeling."""
+pseudo-labeling.
 
-from .data import (
-    DomainDataset,
-    LABELING_MODES,
-    PseudoLabelSet,
-    RunConfig,
-    SELECTION_MODES,
-    ValidatedPair,
-    validate_pair,
-)
-from .dataio import evaluate, gen_synthetic, load_features, save_features
-from .labeling import (
-    ClusterSet,
-    PrototypeSet,
-    compute_prototypes,
-    fuse_and_label,
-    kmeans_clusters,
-    match_clusters,
-    ncp_probabilities,
-    sp_probabilities,
-)
-from .linalg import (
-    EigenPairs,
-    Matching,
-    NumericalError,
-    gen_eig,
-    solve_assignment,
-    sym_eig,
-)
-from .pipeline import (
-    AdaptationResult,
-    IterationSnapshot,
-    PreparedPair,
-    nn_baseline,
-    prepare,
-    run,
-    run_ablation,
-    run_prepared,
-)
-from .preprocess import (
-    PcaModel,
-    RankTruncationWarning,
-    ZeroVectorWarning,
-    l2_normalize_columns,
-    pca_fit,
-    pca_transform,
-)
-from .selection import SelectionPlan, plan_selection, select
-from .subspace import SlppModel, embed, slpp_fit
+The package namespace is lazy: each public name is imported from its
+submodule on first use, so ``import splda`` (and the ``baseline-1nn`` and
+``synth`` commands) never load scipy. Kernels and internals are imported
+from their submodules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptationResult",
-    "ClusterSet",
-    "DomainDataset",
-    "EigenPairs",
-    "IterationSnapshot",
-    "LABELING_MODES",
-    "Matching",
-    "NumericalError",
-    "PcaModel",
-    "PreparedPair",
-    "PrototypeSet",
-    "PseudoLabelSet",
-    "RankTruncationWarning",
-    "RunConfig",
-    "SELECTION_MODES",
-    "SelectionPlan",
-    "SlppModel",
-    "ValidatedPair",
-    "ZeroVectorWarning",
-    "compute_prototypes",
-    "embed",
-    "evaluate",
-    "fuse_and_label",
-    "gen_eig",
-    "gen_synthetic",
-    "kmeans_clusters",
-    "l2_normalize_columns",
-    "load_features",
-    "match_clusters",
-    "ncp_probabilities",
-    "nn_baseline",
-    "pca_fit",
-    "pca_transform",
-    "plan_selection",
-    "prepare",
-    "run",
-    "run_ablation",
-    "run_prepared",
-    "save_features",
-    "select",
-    "slpp_fit",
-    "solve_assignment",
-    "sp_probabilities",
-    "sym_eig",
-    "validate_pair",
-]
+# public name -> submodule that defines it
+_EXPORTS = {
+    "DomainDataset": "data",
+    "LABELING_MODES": "data",
+    "RunConfig": "data",
+    "SELECTION_MODES": "data",
+    "evaluate": "dataio",
+    "gen_synthetic": "dataio",
+    "load_features": "dataio",
+    "nn_baseline": "dataio",
+    "save_features": "dataio",
+    "NumericalError": "linalg",
+    "AdaptationResult": "pipeline",
+    "IterationSnapshot": "pipeline",
+    "PreparedPair": "pipeline",
+    "prepare": "pipeline",
+    "run": "pipeline",
+    "run_ablation": "pipeline",
+    "run_prepared": "pipeline",
+    "RankTruncationWarning": "preprocess",
+    "ZeroVectorWarning": "preprocess",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

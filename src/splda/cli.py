@@ -7,19 +7,21 @@ once, then run each of its configs (one for adapt, the nine grid cells for
 ablate) on the prepared pair as a task of its own. Reports are single JSON
 documents with a fixed schema version, serialized with sorted keys so equal
 results produce equal bytes.
+
+Each command imports only what it runs: ``pipeline``, and with it scipy, is
+imported inside the ``adapt``/``ablate`` workers, so ``synth``,
+``baseline-1nn`` and ``--help`` never load scipy; the process pool is
+imported only when ``--jobs`` is above 1.
 """
 
 import argparse
 import json
-import multiprocessing
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 from .data import LABELING_MODES, RunConfig, SELECTION_MODES
-from .dataio import gen_synthetic, load_features, save_features
-from .pipeline import nn_baseline, prepare, run_prepared
+from .dataio import gen_synthetic, load_features, nn_baseline, save_features
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -84,6 +86,8 @@ def _baseline_task(task: dict) -> dict:
 
 def _prepare_task(task: dict) -> dict:
     """Worker that loads one pair and prepares it; returns the pair or the error."""
+    from .pipeline import prepare
+
     started = time.perf_counter()
     prepared = error = None
     try:
@@ -99,6 +103,8 @@ def _prepare_task(task: dict) -> dict:
 
 def _cell_task(task: dict) -> dict:
     """Worker that runs one config on a prepared pair; returns a report record."""
+    from .pipeline import run_prepared
+
     record = _record(task["source"], task["target"], task["config"])
     started = time.perf_counter()
     try:
@@ -124,6 +130,9 @@ def _run_tasks(worker, tasks: list, pool) -> list:
 @contextmanager
 def _pool(jobs: int):
     if jobs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # spawned workers start from a fresh import; forking a process that
         # may already run BLAS threads is unsafe
         context = multiprocessing.get_context("spawn")
@@ -243,9 +252,19 @@ def _add_pair_args(parser):
                         help="target feature file (repeatable, paired in order)")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_batch_args(parser):
     parser.add_argument("--report", help="write the JSON report to this path")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="run up to this many tasks in parallel")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit wall times from the report (reproducible bytes)")

@@ -1,17 +1,23 @@
-"""Feature-file parsing, synthetic pair generation and the accuracy metric.
+"""Feature-file parsing, synthetic pair generation, the accuracy metric and
+the 1NN baseline.
 
 The on-disk format is deliberately plain so any feature-extraction script
 can produce it: a single header line ``# d=<int> n=<int> labeled=<0|1>``
 followed by one sample per line, ``<label> <f1> ... <fd>`` with ASCII
 decimals and a label of -1 when the file is unlabeled. Target-file labels
 are routed to the evaluation-only channel on load.
+
+Nothing here imports scipy, so the ``synth`` and ``baseline-1nn`` commands
+start without it.
 """
 
+import math
 import re
 
 import numpy as np
 
-from .data import DomainDataset
+from .data import DomainDataset, validate_pair
+from .preprocess import l2_normalize_columns
 
 _HEADER_RE = re.compile(r"^#\s*d=(\d+)\s+n=(\d+)\s+labeled=([01])\s*$")
 
@@ -41,7 +47,7 @@ def load_features(path, domain: str = "source") -> DomainDataset:
     labels = np.empty(n, dtype=int) if labeled else None
     row = 0
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         if _HEADER_RE.match(line):
             raise ValueError(f"{path}: line {lineno}: duplicate header")
@@ -58,9 +64,11 @@ def load_features(path, domain: str = "source") -> DomainDataset:
         try:
             label = int(tokens[0])
         except ValueError:
+            label = None
+        if label is None or "_" in tokens[0]:
             raise ValueError(
                 f"{path}: line {lineno}: label {tokens[0]!r} is not an integer"
-            ) from None
+            )
         if labeled and label < 0:
             raise ValueError(
                 f"{path}: line {lineno}: labeled file requires labels >= 0"
@@ -70,12 +78,16 @@ def load_features(path, domain: str = "source") -> DomainDataset:
                 f"{path}: line {lineno}: unlabeled file requires label -1"
             )
         try:
-            features[:, row] = [float(t) for t in tokens[1:]]
+            features[:, row] = list(map(float, tokens[1:]))
         except ValueError:
-            bad = next(t for t in tokens[1:] if not _is_float(t))
+            decimal = False
+        else:
+            decimal = "_" not in line and np.isfinite(features[:, row]).all()
+        if not decimal:
+            bad = next(t for t in tokens[1:] if not _is_decimal(t))
             raise ValueError(
-                f"{path}: line {lineno}: non-numeric value {bad!r}"
-            ) from None
+                f"{path}: line {lineno}: value {bad!r} is not a finite decimal"
+            )
         if labeled:
             labels[row] = label
         row += 1
@@ -86,10 +98,10 @@ def load_features(path, domain: str = "source") -> DomainDataset:
     return DomainDataset(features, labels=labels, domain="source")
 
 
-def _is_float(token: str) -> bool:
+def _is_decimal(token: str) -> bool:
+    """Whether ``float`` reads the token as a finite number without underscores."""
     try:
-        float(token)
-        return True
+        return "_" not in token and math.isfinite(float(token))
     except ValueError:
         return False
 
@@ -168,3 +180,31 @@ def evaluate(predictions, ground_truth) -> float:
             f"{ground_truth.shape} ground-truth labels"
         )
     return 100.0 * float(np.mean(predictions == ground_truth))
+
+
+def _nearest(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Index of the Euclidean-nearest column of ``s`` for each column of ``t``.
+
+    Columns are unit or zero vectors, so ||t - s||^2 = ||t||^2 + ||s||^2 -
+    2 t.s ranks the sources like ||s||^2 - 2 t.s, and one matrix product does
+    the work. For unit sources this is the argmax of t.s.
+    """
+    scores = t.T @ s
+    scores *= -2.0
+    scores += np.einsum("ij,ij->j", s, s)
+    return np.argmin(scores, axis=1)
+
+
+def nn_baseline(src: DomainDataset, tgt: DomainDataset) -> float:
+    """Accuracy of 1-nearest-neighbor on L2-normalized raw features.
+
+    No adaptation is applied; this is the floor any adaptation run should
+    beat. Requires target ground truth in the evaluation channel.
+    """
+    pair = validate_pair(src, tgt)
+    if pair.target.eval_labels is None:
+        raise ValueError("1NN baseline needs target ground truth in eval_labels")
+    s = l2_normalize_columns(pair.source.features)
+    t = l2_normalize_columns(pair.target.features)
+    predictions = pair.source.labels[_nearest(s, t)]
+    return evaluate(predictions, pair.target.eval_labels)

@@ -22,7 +22,7 @@ from .data import (
     SELECTION_MODES,
     validate_pair,
 )
-from .dataio import evaluate
+from .dataio import evaluate, nn_baseline  # noqa: F401 - nn_baseline is re-exported
 from .labeling import (
     compute_prototypes,
     fuse_and_label,
@@ -215,31 +215,3 @@ def run_ablation(src: DomainDataset, tgt: DomainDataset,
         for labeling in LABELING_MODES
         for selection in SELECTION_MODES
     }
-
-
-def _nearest(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Index of the Euclidean-nearest column of ``s`` for each column of ``t``.
-
-    Columns are unit or zero vectors, so ||t - s||^2 = ||t||^2 + ||s||^2 -
-    2 t.s ranks the sources like ||s||^2 - 2 t.s, and one matrix product does
-    the work. For unit sources this is the argmax of t.s.
-    """
-    scores = t.T @ s
-    scores *= -2.0
-    scores += np.einsum("ij,ij->j", s, s)
-    return np.argmin(scores, axis=1)
-
-
-def nn_baseline(src: DomainDataset, tgt: DomainDataset) -> float:
-    """Accuracy of 1-nearest-neighbor on L2-normalized raw features.
-
-    No adaptation is applied; this is the floor any adaptation run should
-    beat. Requires target ground truth in the evaluation channel.
-    """
-    pair = validate_pair(src, tgt)
-    if pair.target.eval_labels is None:
-        raise ValueError("1NN baseline needs target ground truth in eval_labels")
-    s = l2_normalize_columns(pair.source.features)
-    t = l2_normalize_columns(pair.target.features)
-    predictions = pair.source.labels[_nearest(s, t)]
-    return evaluate(predictions, pair.target.eval_labels)

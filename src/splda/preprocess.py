@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .data import DomainDataset
 
 _RANK_CUTOFF = 1e-12
@@ -43,6 +42,8 @@ def pca_fit(src: DomainDataset, tgt: DomainDataset, n_components: int) -> PcaMod
     Requesting more components than the numerical rank truncates with a
     warning; eigenvalues below 1e-12 of the largest are dropped.
     """
+    from . import linalg  # here, so that normalization alone never loads scipy
+
     x = np.hstack([src.features, tgt.features])
     d, n = x.shape
     if not 1 <= n_components <= min(d, n):

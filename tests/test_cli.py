@@ -105,6 +105,15 @@ class TestAdapt:
             main(["adapt", "--source", str(src), "--source", str(src),
                   "--target", str(tgt), "--d1", "10"])
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, pair_files, capsys, jobs):
+        src, tgt = pair_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["adapt", "--source", str(src), "--target", str(tgt), "--d1", "10",
+                  "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+
     def test_deterministic_reports_without_timing(self, pair_files, tmp_path):
         _, first = run_adapt(pair_files, tmp_path, "--no-timing", "--seed", "3")
         _, second = run_adapt(pair_files, tmp_path, "--no-timing", "--seed", "3")

@@ -76,6 +76,23 @@ class TestLoadFeatures:
         with pytest.raises(ValueError, match="line 2.*not an integer"):
             load_features(write(tmp_path, text))
 
+    def test_underscore_in_feature(self, tmp_path):
+        # float() accepts "1_5" as 15.0; the format allows ASCII decimals only
+        text = "# d=2 n=1 labeled=1\n0 1_5 2.0\n"
+        with pytest.raises(ValueError, match="line 2: value '1_5' is not a finite decimal"):
+            load_features(write(tmp_path, text))
+
+    def test_underscore_in_label(self, tmp_path):
+        text = "# d=2 n=1 labeled=1\n1_0 1.0 2.0\n"
+        with pytest.raises(ValueError, match="line 2: label '1_0' is not an integer"):
+            load_features(write(tmp_path, text))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, token):
+        text = f"# d=2 n=2 labeled=1\n0 1.0 2.0\n1 {token} 2.0\n"
+        with pytest.raises(ValueError, match=f"line 3: value '{token}' is not a finite decimal"):
+            load_features(write(tmp_path, text))
+
     def test_roundtrip_exact(self, tmp_path, rng):
         feats = rng.normal(size=(7, 11)) * 10.0 ** rng.integers(-8, 8, size=(7, 11))
         ds = DomainDataset(feats, labels=rng.integers(0, 4, size=11))

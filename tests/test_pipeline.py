@@ -8,8 +8,8 @@ from scipy.spatial.distance import cdist
 
 from splda import pipeline
 from splda.data import DomainDataset, RunConfig
-from splda.dataio import evaluate, gen_synthetic
-from splda.pipeline import _nearest, nn_baseline, prepare, run, run_ablation, run_prepared
+from splda.dataio import _nearest, evaluate, gen_synthetic
+from splda.pipeline import nn_baseline, prepare, run, run_ablation, run_prepared
 from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
 
 

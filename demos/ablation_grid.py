@@ -13,7 +13,7 @@ source, target = gen_synthetic(
     classes=5, per_class=40, dim=20, shift_magnitude=4.0, seed=5, separation=6.0,
 )
 
-base = RunConfig(pca_dim=20, subspace_dim=10, iterations=10, seed=5)
+base = RunConfig(pca_dim=20, subspace_dim=10, iterations=10)
 table = run_ablation(source, target, base)
 
 header = "".join(f"{sel:>14}" for sel in SELECTION_MODES)

@@ -18,7 +18,7 @@ baseline = nn_baseline(source, target)
 print(f"1NN baseline without adaptation: {baseline:.1f}%")
 
 config = RunConfig(pca_dim=20, subspace_dim=10, iterations=10,
-                   labeling="fused", selection="progressive", seed=7)
+                   labeling="fused", selection="progressive")
 result = run(source, target, config)
 
 print("\niteration  selected  accuracy")

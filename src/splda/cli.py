@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from .data import LABELING_MODES, RunConfig, SELECTION_MODES
 from .dataio import gen_synthetic, load_features, nn_baseline, save_features
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 def build_report(command: str, records: list) -> dict:
@@ -212,7 +212,7 @@ def _pairs(args) -> list:
 def _config(args, labeling: str, selection: str) -> dict:
     return {
         "pca_dim": args.d1, "subspace_dim": args.d2, "iterations": args.iters,
-        "labeling": labeling, "selection": selection, "seed": args.seed,
+        "labeling": labeling, "selection": selection,
     }
 
 
@@ -276,7 +276,6 @@ def _add_config_args(parser):
                              "512 Office31, 128 ImageCLEF-DA, 1024 Office-Home)")
     parser.add_argument("--d2", type=int, default=128, help="subspace dimensionality")
     parser.add_argument("--iters", type=int, default=10, help="iteration count")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,7 @@ prediction path is allowed to read; it exists purely so metrics can be
 computed afterwards.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,8 +109,7 @@ class PseudoLabelSet:
 class RunConfig:
     """Adaptation hyperparameters; echoed verbatim into results and reports.
 
-    No stage of a run is random, so ``seed`` changes no prediction; it is
-    kept as a recorded field of the report schema.
+    No stage of a run is random, so a run takes no seed.
     """
 
     pca_dim: int
@@ -118,7 +117,6 @@ class RunConfig:
     iterations: int = 10
     labeling: str = "fused"
     selection: str = "progressive"
-    seed: int = 0
 
     def __post_init__(self):
         if self.pca_dim < 1:
@@ -142,26 +140,18 @@ class RunConfig:
             "iterations": self.iterations,
             "labeling": self.labeling,
             "selection": self.selection,
-            "seed": self.seed,
         }
 
 
-@dataclass(frozen=True)
-class ValidatedPair:
-    """A source/target pair with dense 0-based labels and a shared class count."""
-
-    source: DomainDataset
-    target: DomainDataset
-    n_classes: int
-    label_names: tuple = field(default_factory=tuple)
-
-
-def validate_pair(src: DomainDataset, tgt: DomainDataset) -> ValidatedPair:
+def validate_pair(src: DomainDataset, tgt: DomainDataset) -> tuple:
     """Check pair consistency and dictionary-encode labels to dense 0-based ids.
 
-    The class vocabulary is the union of source labels and target evaluation
-    labels; every class must have at least one source sample, otherwise its
-    prototype would be undefined.
+    The class vocabulary is the union of source labels and source and target
+    evaluation labels; every class must have at least one source sample,
+    otherwise its prototype would be undefined. Returns ``(source_ids,
+    target_truth, label_names)``: the dense source labels, the dense target
+    evaluation labels (None when the target has none) and the sorted
+    vocabulary that maps dense ids back to the caller's class ids.
     """
     if src.labels is None:
         raise ValueError("source dataset must be fully labeled")
@@ -174,24 +164,15 @@ def validate_pair(src: DomainDataset, tgt: DomainDataset) -> ValidatedPair:
         raise ValueError(
             f"feature dimension mismatch: source d={src.dim}, target d={tgt.dim}"
         )
-    vocab = np.unique(src.labels)
-    for extra in (src.eval_labels, tgt.eval_labels):
-        if extra is not None:
-            vocab = np.unique(np.concatenate([vocab, extra]))
+    present = np.unique(src.labels)
+    extras = [y for y in (src.eval_labels, tgt.eval_labels) if y is not None]
+    vocab = np.unique(np.concatenate([present, *extras]))
     label_names = tuple(int(x) for x in vocab)
-    present = set(np.unique(src.labels).tolist())
-    missing = [name for name in label_names if name not in present]
+    missing = [int(x) for x in np.setdiff1d(vocab, present)]
     if missing:
         raise ValueError(
             f"source has no samples for class(es) {missing} out of "
             f"{len(label_names)}; class prototypes would be undefined"
         )
-    encode = {name: dense for dense, name in enumerate(label_names)}
-    src_labels = np.array([encode[int(y)] for y in src.labels], dtype=int)
-    new_src = replace(src, labels=src_labels,
-                      eval_labels=None if src.eval_labels is None else
-                      np.array([encode[int(y)] for y in src.eval_labels], dtype=int))
-    new_tgt = tgt if tgt.eval_labels is None else replace(
-        tgt, eval_labels=np.array([encode[int(y)] for y in tgt.eval_labels], dtype=int))
-    return ValidatedPair(source=new_src, target=new_tgt,
-                         n_classes=len(label_names), label_names=label_names)
+    truth = None if tgt.eval_labels is None else np.searchsorted(vocab, tgt.eval_labels)
+    return np.searchsorted(vocab, src.labels), truth, label_names

@@ -32,8 +32,17 @@ def load_features(path, domain: str = "source") -> DomainDataset:
     ``domain`` controls label routing: source labels stay on the training
     channel, target labels are quarantined into ``eval_labels``.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object holds all
+        # of its bytes; count the lines up to and including the offending one
+        raw = exc.object
+        lineno = len((raw[:exc.start].decode("ascii") + "?").splitlines())
+        raise ValueError(
+            f"{path}: line {lineno}: non-ASCII byte 0x{raw[exc.start]:02x}"
+        ) from None
     if not lines:
         raise ValueError(f"{path}: line 1: empty file, expected header")
     header = _HEADER_RE.match(lines[0])
@@ -201,10 +210,9 @@ def nn_baseline(src: DomainDataset, tgt: DomainDataset) -> float:
     No adaptation is applied; this is the floor any adaptation run should
     beat. Requires target ground truth in the evaluation channel.
     """
-    pair = validate_pair(src, tgt)
-    if pair.target.eval_labels is None:
+    source_ids, target_truth, _ = validate_pair(src, tgt)
+    if target_truth is None:
         raise ValueError("1NN baseline needs target ground truth in eval_labels")
-    s = l2_normalize_columns(pair.source.features)
-    t = l2_normalize_columns(pair.target.features)
-    predictions = pair.source.labels[_nearest(s, t)]
-    return evaluate(predictions, pair.target.eval_labels)
+    s = l2_normalize_columns(src.features)
+    t = l2_normalize_columns(tgt.features)
+    return evaluate(source_ids[_nearest(s, t)], target_truth)

@@ -31,7 +31,7 @@ from .labeling import (
     ncp_probabilities,
     sp_probabilities,
 )
-from .preprocess import l2_normalize_columns, pca_fit, pca_transform
+from .preprocess import l2_normalize_columns, pca_fit
 from .selection import select
 from .subspace import SlppModel, embed, slpp_fit
 
@@ -96,11 +96,11 @@ class PreparedPair:
     """A validated pair after PCA and L2 normalization, ready for the loop.
 
     ``source`` and ``target`` are the d1 x n matrices of normalized PCA
-    coordinates, read-only because every run on the pair shares them; the
-    raw features are not kept. ``source_labels`` and ``target_truth`` are
-    dense 0-based ids that ``label_names`` maps back to the caller's class
-    ids. ``warnings`` holds the messages raised while preparing, and
-    ``pca_dim`` the component count that was requested.
+    coordinates; the raw features are not kept. ``source_labels`` and
+    ``target_truth`` are dense 0-based ids that ``label_names`` maps back to
+    the caller's class ids. Every array is read-only because every run on
+    the pair shares it. ``warnings`` holds the messages raised while
+    preparing, and ``pca_dim`` the component count that was requested.
     """
 
     source: np.ndarray
@@ -117,21 +117,28 @@ class PreparedPair:
 
 
 def prepare(src: DomainDataset, tgt: DomainDataset, pca_dim: int) -> PreparedPair:
-    """Validate a pair, fit PCA once on it and normalize both sides."""
-    pair = validate_pair(src, tgt)
+    """Validate a pair, fit PCA once on it and normalize both sides.
+
+    The pair's features are stacked into one pooled copy, which PCA centres
+    in place; each side is projected from its slice of that copy.
+    """
+    source_ids, target_truth, label_names = validate_pair(src, tgt)
+    x = np.hstack([src.features, tgt.features])
+    ns = src.n_samples
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pca = pca_fit(pair.source, pair.target, pca_dim)
-        xs = l2_normalize_columns(pca_transform(pca, pair.source.features))
-        xt = l2_normalize_columns(pca_transform(pca, pair.target.features))
-    for x in (xs, xt):
-        x.setflags(write=False)
+        components = pca_fit(x, pca_dim)
+        xs = l2_normalize_columns(components.T @ x[:, :ns])
+        xt = l2_normalize_columns(components.T @ x[:, ns:])
+    for a in (xs, xt, source_ids, target_truth):
+        if a is not None:
+            a.setflags(write=False)
     return PreparedPair(
         source=xs,
         target=xt,
-        source_labels=pair.source.labels,
-        target_truth=pair.target.eval_labels,
-        label_names=pair.label_names,
+        source_labels=source_ids,
+        target_truth=target_truth,
+        label_names=label_names,
         pca_dim=pca_dim,
         warnings=tuple(str(w.message) for w in caught),
     )

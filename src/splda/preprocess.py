@@ -1,16 +1,13 @@
 """Dimensionality reduction, per-sample normalization and class sums.
 
-PCA is fit once on the pooled source+target matrix. Centering is done by
-explicit mean subtraction, and the eigendecomposition runs on whichever of
-the d x d scatter or the n x n Gram matrix is smaller.
+PCA is fit once on the pooled source+target matrix. Centering subtracts the
+mean from that matrix in place, and the eigendecomposition runs on whichever
+of the d x d scatter or the n x n Gram matrix is smaller.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-from .data import DomainDataset
 
 _RANK_CUTOFF = 1e-12
 
@@ -23,43 +20,31 @@ class RankTruncationWarning(UserWarning):
     """More components were requested than the data's numerical rank."""
 
 
-@dataclass(frozen=True)
-class PcaModel:
-    """Column mean and orthonormal principal directions of the pooled data."""
+def pca_fit(x: np.ndarray, n_components: int) -> np.ndarray:
+    """Principal directions of the pooled d x n float matrix ``x``.
 
-    mean: np.ndarray
-    components: np.ndarray
-
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[1]
-
-
-def pca_fit(src: DomainDataset, tgt: DomainDataset, n_components: int) -> PcaModel:
-    """Fit PCA on the concatenated [source | target] feature matrix.
-
-    Components are the leading eigenvectors of the centered scatter matrix.
+    ``x`` is centred in place: on return it holds the pooled data minus its
+    column mean, so the caller projects with ``components.T @ x`` and no
+    second copy of the data is made. Returns the d x k matrix of orthonormal
+    components, the leading eigenvectors of the centred scatter matrix.
     Requesting more components than the numerical rank truncates with a
     warning; eigenvalues below 1e-12 of the largest are dropped.
     """
     from . import linalg  # here, so that normalization alone never loads scipy
 
-    x = np.hstack([src.features, tgt.features])
     d, n = x.shape
     if not 1 <= n_components <= min(d, n):
         raise ValueError(
             f"n_components must be in 1..min(d={d}, n={n}), got {n_components}"
         )
-    mean = x.mean(axis=1)
-    centered = x - mean[:, None]
+    x -= x.mean(axis=1)[:, None]
     if d <= n:
-        pairs = linalg.sym_eig(centered @ centered.T, n_components)
-        values, vectors = pairs.values, pairs.vectors
+        pairs = linalg.sym_eig(x @ x.T, n_components)
     else:
         # Gram trick: eigenvectors w of X^T X map to scatter eigenvectors
         # X w / sqrt(value), identical nonzero spectrum.
-        pairs = linalg.sym_eig(centered.T @ centered, n_components)
-        values, vectors = pairs.values, pairs.vectors
+        pairs = linalg.sym_eig(x.T @ x, n_components)
+    values, vectors = pairs.values, pairs.vectors
     if values[0] <= 0.0:
         raise ValueError("pooled data has zero variance; PCA is undefined")
     keep = values > _RANK_CUTOFF * values[0]
@@ -72,19 +57,8 @@ def pca_fit(src: DomainDataset, tgt: DomainDataset, n_components: int) -> PcaMod
         )
         values, vectors = values[keep], vectors[:, keep]
     if d > n:
-        vectors = linalg._canonical_signs(centered @ (vectors / np.sqrt(values)))
-    return PcaModel(mean=mean, components=vectors)
-
-
-def pca_transform(model: PcaModel, x) -> np.ndarray:
-    """Project columns of ``x`` onto the principal directions after centering."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != model.mean.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: model expects d={model.mean.shape[0]}, "
-            f"got {x.shape[0]}"
-        )
-    return model.components.T @ (x - model.mean[:, None])
+        vectors = linalg._canonical_signs(x @ (vectors / np.sqrt(values)))
+    return vectors
 
 
 def l2_normalize_columns(x) -> np.ndarray:

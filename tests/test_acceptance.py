@@ -128,7 +128,7 @@ def test_criterion_3_synthetic_end_to_end():
     means = {"none": [], "all": [], "progressive": []}
     for seed in SEEDS:
         src, tgt = gen_synthetic(seed=seed, **SUITE)
-        cfg = RunConfig(seed=seed, labeling="fused", **SUITE_CONFIG)
+        cfg = RunConfig(labeling="fused", **SUITE_CONFIG)
         baseline = nn_baseline(src, tgt)
         finals = {}
         for selection in means:
@@ -155,7 +155,7 @@ def test_criterion_4_early_iteration_sp_advantage():
     sp_first = []
     for seed in SEEDS:
         src, tgt = gen_synthetic(seed=seed, **SUITE)
-        cfg = RunConfig(seed=seed, selection="progressive", **SUITE_CONFIG)
+        cfg = RunConfig(selection="progressive", **SUITE_CONFIG)
         ncp_first.append(run(src, tgt, replace(cfg, labeling="ncp"))
                          .snapshots[1].accuracy)
         sp_first.append(run(src, tgt, replace(cfg, labeling="sp"))
@@ -181,7 +181,7 @@ def test_criterion_5_office_caltech_reproduction():
               "amazon.txt/caltech.txt/dslr.txt/webcam.txt Decaf6 features)")
         pytest.skip("external Office-Caltech Decaf6 features not provided")
     cfg = RunConfig(pca_dim=128, subspace_dim=128, iterations=10,
-                    labeling="fused", selection="progressive", seed=0)
+                    labeling="fused", selection="progressive")
     finals = []
     baselines = []
     for src_name in OFFICE_DOMAINS:
@@ -207,7 +207,7 @@ def test_criterion_5_office_caltech_reproduction():
 
 def test_criterion_6_determinism(tmp_path):
     src, tgt = gen_synthetic(4, 15, 10, shift_magnitude=2.0, seed=11)
-    cfg = RunConfig(pca_dim=10, subspace_dim=6, iterations=4, seed=11)
+    cfg = RunConfig(pca_dim=10, subspace_dim=6, iterations=4)
     result_bytes = [json.dumps(run(src, tgt, cfg).to_dict()).encode()
                     for _ in range(2)]
     checks = [result_bytes[0] == result_bytes[1]]
@@ -220,7 +220,7 @@ def test_criterion_6_determinism(tmp_path):
     for name in ("a.json", "b.json"):
         path = tmp_path / name
         code = main(["adapt", "--source", str(src_path), "--target", str(tgt_path),
-                     "--d1", "10", "--d2", "6", "--iters", "4", "--seed", "11",
+                     "--d1", "10", "--d2", "6", "--iters", "4",
                      "--no-timing", "--report", str(path)])
         checks.append(code == 0)
         reports.append(path.read_bytes())

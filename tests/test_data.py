@@ -57,9 +57,10 @@ class TestDomainDataset:
 
 class TestValidatePair:
     def test_ok(self):
-        pair = validate_pair(make_source(), make_target(eval_labels=[0, 1, 2]))
-        assert pair.n_classes == 3
-        assert pair.label_names == (0, 1, 2)
+        ids, truth, names = validate_pair(make_source(), make_target(eval_labels=[0, 1, 2]))
+        assert names == (0, 1, 2)
+        assert ids.tolist() == [0, 1, 2]
+        assert truth.tolist() == [0, 1, 2]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -84,16 +85,16 @@ class TestValidatePair:
     def test_sparse_labels_dictionary_encoded(self):
         src = make_source(labels=(5, 9, 5))
         tgt = make_target(eval_labels=[9, 5, 9])
-        pair = validate_pair(src, tgt)
-        assert pair.n_classes == 2
-        assert pair.label_names == (5, 9)
-        assert pair.source.labels.tolist() == [0, 1, 0]
-        assert pair.target.eval_labels.tolist() == [1, 0, 1]
+        ids, truth, names = validate_pair(src, tgt)
+        assert names == (5, 9)
+        assert ids.tolist() == [0, 1, 0]
+        assert truth.tolist() == [1, 0, 1]
 
     def test_unlabeled_target_ok(self):
-        pair = validate_pair(make_source(), make_target())
-        assert pair.target.eval_labels is None
-        assert pair.n_classes == 3
+        ids, truth, names = validate_pair(make_source(), make_target())
+        assert truth is None
+        assert names == (0, 1, 2)
+        assert ids.tolist() == [0, 1, 2]
 
 
 class TestRunConfig:
@@ -101,7 +102,7 @@ class TestRunConfig:
         cfg = RunConfig(pca_dim=128)
         assert cfg.to_dict() == {
             "pca_dim": 128, "subspace_dim": 128, "iterations": 10,
-            "labeling": "fused", "selection": "progressive", "seed": 0,
+            "labeling": "fused", "selection": "progressive",
         }
 
     def test_subspace_dim_bounds(self):

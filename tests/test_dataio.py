@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,16 @@ class TestLoadFeatures:
         text = f"# d=2 n=2 labeled=1\n0 1.0 2.0\n1 {token} 2.0\n"
         with pytest.raises(ValueError, match=f"line 3: value '{token}' is not a finite decimal"):
             load_features(write(tmp_path, text))
+
+    @pytest.mark.parametrize("tail", ["1 1.0 2\u00e9", "\u00e91 1.0 2.0\n"],
+                             ids=["last_byte", "first_byte"])
+    def test_non_ascii_byte_names_line(self, tmp_path, tail):
+        path = tmp_path / "feats.txt"
+        text = "# d=2 n=2 labeled=1\r\n0 1.0 2.0\r\n" + tail
+        path.write_bytes(text.encode("utf-8"))
+        expected = f"^{re.escape(str(path))}: line 3: non-ASCII byte 0xc3$"
+        with pytest.raises(ValueError, match=expected):
+            load_features(path)
 
     def test_roundtrip_exact(self, tmp_path, rng):
         feats = rng.normal(size=(7, 11)) * 10.0 ** rng.integers(-8, 8, size=(7, 11))

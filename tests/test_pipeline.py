@@ -10,7 +10,7 @@ from splda import pipeline
 from splda.data import DomainDataset, RunConfig
 from splda.dataio import _nearest, evaluate, gen_synthetic
 from splda.pipeline import nn_baseline, prepare, run, run_ablation, run_prepared
-from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
+from splda.preprocess import ZeroVectorWarning, l2_normalize_columns, pca_fit
 
 
 def easy_pair(seed=0, shift=0.0, separation=10.0):
@@ -41,7 +41,7 @@ def rank_deficient_pair():
 
 
 def easy_config(**kw):
-    defaults = dict(pca_dim=12, subspace_dim=8, iterations=5, seed=0)
+    defaults = dict(pca_dim=12, subspace_dim=8, iterations=5)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -128,7 +128,7 @@ class TestRun:
         for seed in range(20):
             src, tgt = gen_synthetic(5, 40, 20, shift_magnitude=4.0, seed=seed,
                                      separation=8.0)
-            cfg = RunConfig(pca_dim=20, subspace_dim=10, iterations=10, seed=seed)
+            cfg = RunConfig(pca_dim=20, subspace_dim=10, iterations=10)
             accs = [s.accuracy for s in run(src, tgt, cfg).snapshots]
             ok += sum(b >= a for a, b in zip(accs, accs[1:]))
             total += len(accs) - 1
@@ -171,6 +171,23 @@ class TestPrepare:
         result = run_prepared(prepared, RunConfig(pca_dim=10, subspace_dim=10,
                                                   iterations=2))
         assert result.warnings[:len(prepared.warnings)] == prepared.warnings
+
+    def test_builds_no_dataset(self, monkeypatch):
+        src, tgt = easy_pair(seed=22, shift=2.0)
+        calls = count_calls(monkeypatch, DomainDataset, "__post_init__")
+        prepare(src, tgt, 6)
+        assert calls == []
+
+    @pytest.mark.parametrize("per_class, dim", [(25, 12), (3, 40)], ids=["scatter", "gram"])
+    def test_coordinates_match_centred_projection_oracle(self, per_class, dim):
+        src, tgt = gen_synthetic(4, per_class, dim, shift_magnitude=2.0, seed=23)
+        prepared = prepare(src, tgt, 6)
+        pooled = np.hstack([src.features, tgt.features])
+        mean = pooled.mean(axis=1)
+        components = pca_fit(pooled.copy(), 6)
+        for side, coords in ((src, prepared.source), (tgt, prepared.target)):
+            oracle = l2_normalize_columns(components.T @ (side.features - mean[:, None]))
+            assert np.abs(coords - oracle).max() <= 1e-12
 
     def test_config_must_match_prepared_pca_dim(self):
         src, tgt = easy_pair(seed=19)

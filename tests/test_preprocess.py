@@ -1,24 +1,13 @@
 import numpy as np
 import pytest
 
-from splda.data import DomainDataset
 from splda.preprocess import (
-    PcaModel,
     RankTruncationWarning,
     ZeroVectorWarning,
     class_sums,
     l2_normalize_columns,
     pca_fit,
-    pca_transform,
 )
-
-
-def datasets_from(x, split=None):
-    if split is None:
-        split = x.shape[1] // 2
-    src = DomainDataset(x[:, :split], labels=np.zeros(split, dtype=int))
-    tgt = DomainDataset(x[:, split:], domain="target")
-    return src, tgt
 
 
 def scatter_add_class_sums(x, ids, n_classes):
@@ -42,10 +31,10 @@ class TestPcaFit:
         x = np.outer(direction, t) + np.array([[5.0], [1.0], [0.0]])
         with pytest.warns(RankTruncationWarning):
             # rank is 1, so asking for 1 component is fine but probe 2
-            model2 = pca_fit(*datasets_from(x), 2)
-        assert model2.n_components == 1
-        model = pca_fit(*datasets_from(x), 1)
-        assert abs(model.components[:, 0] @ direction) == pytest.approx(1.0, abs=1e-10)
+            components2 = pca_fit(x.copy(), 2)
+        assert components2.shape[1] == 1
+        components = pca_fit(x.copy(), 1)
+        assert abs(components[:, 0] @ direction) == pytest.approx(1.0, abs=1e-10)
 
     def test_scatter_equals_n_times_biased_covariance(self, rng):
         x = rng.normal(size=(6, 40))
@@ -63,75 +52,58 @@ class TestPcaFit:
         scatter = explicit_scatter(x)
         oracle = np.sort(np.linalg.eigvalsh(scatter))[::-1][:5].sum()
         assert oracle == pytest.approx(expected_top5_sum, abs=1e-6)
-        model = pca_fit(*datasets_from(x), 5)
-        projected = model.components.T @ (x - x.mean(axis=1, keepdims=True))
+        components = pca_fit(x.copy(), 5)
+        projected = components.T @ (x - x.mean(axis=1, keepdims=True))
         assert (projected * projected).sum() == pytest.approx(expected_top5_sum, rel=1e-10)
 
     def test_orthonormal_components(self, rng):
         x = rng.normal(size=(8, 30))
-        model = pca_fit(*datasets_from(x), 6)
-        gram = model.components.T @ model.components
+        components = pca_fit(x, 6)
+        gram = components.T @ components
         assert np.abs(gram - np.eye(6)).max() <= 1e-8
 
     def test_projected_variance_monotone_in_dim(self, rng):
         x = rng.normal(size=(7, 25))
-        src, tgt = datasets_from(x)
         centered = x - x.mean(axis=1, keepdims=True)
         variances = []
         for k in range(1, 8):
-            model = pca_fit(src, tgt, k)
-            proj = model.components.T @ centered
+            proj = pca_fit(x.copy(), k).T @ centered
             variances.append((proj * proj).sum())
         assert np.all(np.diff(variances) >= -1e-9)
 
     def test_gram_path_matches_scatter_path(self, rng):
         # more dimensions than samples forces the n x n route
         x = rng.normal(size=(40, 12))
-        model = pca_fit(*datasets_from(x), 4)
+        components = pca_fit(x.copy(), 4)
         scatter = explicit_scatter(x)
         oracle_vals = np.sort(np.linalg.eigvalsh(scatter))[::-1][:4]
-        proj = model.components.T @ (x - x.mean(axis=1, keepdims=True))
+        proj = components.T @ (x - x.mean(axis=1, keepdims=True))
         np.testing.assert_allclose((proj * proj).sum(axis=1), oracle_vals, rtol=1e-8)
-        gram = model.components.T @ model.components
+        gram = components.T @ components
         assert np.abs(gram - np.eye(4)).max() <= 1e-8
 
     def test_rejects_out_of_range_dim(self, rng):
         x = rng.normal(size=(5, 10))
         with pytest.raises(ValueError, match="n_components"):
-            pca_fit(*datasets_from(x), 6)
+            pca_fit(x, 6)
 
     def test_constant_data_rejected(self):
         x = np.ones((3, 8))
         with pytest.raises(ValueError, match="zero variance"):
-            pca_fit(*datasets_from(x), 1)
+            pca_fit(x, 1)
 
-
-class TestPcaTransform:
-    def test_mean_maps_to_zero(self, rng):
-        x = rng.normal(size=(5, 20))
-        model = pca_fit(*datasets_from(x), 3)
-        replicated = np.tile(model.mean[:, None], (1, 4))
-        np.testing.assert_allclose(pca_transform(model, replicated),
-                                   np.zeros((3, 4)), atol=1e-12)
-
-    def test_identity_components(self):
-        model = PcaModel(mean=np.zeros(3), components=np.eye(3))
-        x = np.arange(12, dtype=float).reshape(3, 4)
-        np.testing.assert_allclose(pca_transform(model, x), x)
+    @pytest.mark.parametrize("shape", [(5, 20), (20, 5)], ids=["scatter", "gram"])
+    def test_leaves_argument_centred(self, rng, shape):
+        x = rng.normal(size=shape) + 3.0
+        oracle = x - x.mean(axis=1, keepdims=True)
+        pca_fit(x, 3)
+        np.testing.assert_array_equal(x, oracle)
 
     def test_reconstruction_residual_orthogonal(self, rng):
         x = rng.normal(size=(9, 30))
-        model = pca_fit(*datasets_from(x), 4)
-        probe = rng.normal(size=(9, 5))
-        coords = pca_transform(model, probe)
-        residual = (probe - model.mean[:, None]) - model.components @ coords
-        assert np.abs(model.components.T @ residual).max() <= 1e-8
-
-    def test_dimension_mismatch(self, rng):
-        x = rng.normal(size=(5, 20))
-        model = pca_fit(*datasets_from(x), 2)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            pca_transform(model, np.ones((4, 2)))
+        components = pca_fit(x, 4)
+        residual = x - components @ (components.T @ x)
+        assert np.abs(components.T @ residual).max() <= 1e-8
 
 
 class TestL2Normalize:

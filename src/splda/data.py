@@ -35,7 +35,12 @@ def _check_label_vector(labels, n: int, channel: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DomainDataset:
-    """Column-major feature matrix for one domain plus optional labels."""
+    """Column-major feature matrix for one domain plus optional labels.
+
+    The features are copied into a read-only float64 matrix, so no caller's
+    array can change them later. A float64 array that owns its memory and is
+    already read-only is adopted without the copy.
+    """
 
     features: np.ndarray
     labels: np.ndarray | None = None
@@ -43,7 +48,10 @@ class DomainDataset:
     domain: str = "source"
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=float)
+        feats = self.features
+        if not (isinstance(feats, np.ndarray) and feats.dtype == np.float64
+                and feats.flags.owndata and not feats.flags.writeable):
+            feats = np.array(feats, dtype=float)
         if feats.ndim != 2:
             raise ValueError(f"features must be a 2-D matrix, got ndim={feats.ndim}")
         if feats.shape[1] < 1:

@@ -11,15 +11,21 @@ Nothing here imports scipy, so the ``synth`` and ``baseline-1nn`` commands
 start without it.
 """
 
-import math
 import re
+import warnings
 
 import numpy as np
 
 from .data import DomainDataset, validate_pair
 from .preprocess import l2_normalize_columns
 
-_HEADER_RE = re.compile(r"^#\s*d=(\d+)\s+n=(\d+)\s+labeled=([01])\s*$")
+# Tokens in a line are separated by runs of space, \t, \v and \f; lines end
+# at \n, \r\n or \r (read as \n). Other control bytes, \x1c-\x1f among them,
+# belong to the token they touch.
+_BLANK = " \t\v\f\n"
+_TOKEN_RE = re.compile(r"[^ \t\v\f\n]+")
+_HEADER_RE = re.compile(
+    r"#[ \t\v\f]*d=(\d+)[ \t\v\f]+n=(\d+)[ \t\v\f]+labeled=([01])[ \t\v\f]*$")
 
 # Class blobs are unit-variance Gaussians; target samples get a rotation of
 # this many radians per unit of shift, so zero shift means identical domains.
@@ -31,88 +37,139 @@ def load_features(path, domain: str = "source") -> DomainDataset:
 
     ``domain`` controls label routing: source labels stay on the training
     channel, target labels are quarantined into ``eval_labels``.
+
+    The file is read one line at a time and numpy parses each row straight
+    into its column, so a load holds the matrix plus one line. A row that
+    does not parse cleanly goes through the format's checks in order, to
+    name its line and its fault.
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call, so exc.object holds all
-        # of its bytes; count the lines up to and including the offending one
-        raw = exc.object
-        lineno = len((raw[:exc.start].decode("ascii") + "?").splitlines())
-        raise ValueError(
-            f"{path}: line {lineno}: non-ASCII byte 0x{raw[exc.start]:02x}"
-        ) from None
-    if not lines:
-        raise ValueError(f"{path}: line 1: empty file, expected header")
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
-        raise ValueError(
-            f"{path}: line 1: malformed header, expected "
-            f"'# d=<int> n=<int> labeled=<0|1>'"
-        )
-    d, n, labeled = int(header.group(1)), int(header.group(2)), header.group(3) == "1"
-    features = np.empty((d, n), dtype=float)
-    labels = np.empty(n, dtype=int) if labeled else None
-    row = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line or line.isspace():
-            continue
-        if _HEADER_RE.match(line):
-            raise ValueError(f"{path}: line {lineno}: duplicate header")
-        tokens = line.split()
-        if len(tokens) != d + 1:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {d + 1} columns "
-                f"(label + {d} features), found {len(tokens)}"
-            )
-        if row >= n:
-            raise ValueError(
-                f"{path}: line {lineno}: more than the declared n={n} samples"
-            )
+    if domain not in ("source", "target"):
+        raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
+    with open(path, "r", encoding="ascii") as fh:
+        lineno = 0
         try:
-            label = int(tokens[0])
-        except ValueError:
-            label = None
-        if label is None or "_" in tokens[0]:
+            d, n, labeled = _parse_header(path, fh.readline())
+            lineno = 1
+            features = np.empty((d, n), dtype=float)
+            labels = np.empty(n, dtype=int) if labeled else None
+            row = 0
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip(_BLANK):
+                    continue
+                # the label is parsed with the values, so a row that parses
+                # holds no byte on which numpy and _TOKEN_RE split differently
+                values = _floats(line)
+                label = _integer(_TOKEN_RE.search(line).group())
+                if (row < n and values is not None and values.size == d + 1
+                        and "_" not in line and label is not None
+                        and (label >= 0 if labeled else label == -1)
+                        and np.isfinite(values).all()):
+                    features[:, row] = values[1:]
+                    if labeled:
+                        labels[row] = label
+                    row += 1
+                else:
+                    _raise_row_error(path, lineno, line, d, n, row, labeled)
+        except UnicodeDecodeError as exc:
             raise ValueError(
-                f"{path}: line {lineno}: label {tokens[0]!r} is not an integer"
-            )
-        if labeled and label < 0:
-            raise ValueError(
-                f"{path}: line {lineno}: labeled file requires labels >= 0"
-            )
-        if not labeled and label != -1:
-            raise ValueError(
-                f"{path}: line {lineno}: unlabeled file requires label -1"
-            )
-        try:
-            features[:, row] = list(map(float, tokens[1:]))
-        except ValueError:
-            decimal = False
-        else:
-            decimal = "_" not in line and np.isfinite(features[:, row]).all()
-        if not decimal:
-            bad = next(t for t in tokens[1:] if not _is_decimal(t))
-            raise ValueError(
-                f"{path}: line {lineno}: value {bad!r} is not a finite decimal"
-            )
-        if labeled:
-            labels[row] = label
-        row += 1
+                f"{path}: line {_line_of_byte(fh, exc, lineno)}: "
+                f"non-ASCII byte 0x{exc.object[exc.start]:02x}"
+            ) from None
     if row != n:
         raise ValueError(f"{path}: expected n={n} samples, found {row}")
+    features.setflags(write=False)  # so the dataset adopts it without a copy
     if domain == "target":
         return DomainDataset(features, labels=None, eval_labels=labels, domain="target")
     return DomainDataset(features, labels=labels, domain="source")
 
 
-def _is_decimal(token: str) -> bool:
-    """Whether ``float`` reads the token as a finite number without underscores."""
+def _parse_header(path, line: str):
+    """``(d, n, labeled)`` from the header line."""
+    if not line:
+        raise ValueError(f"{path}: line 1: empty file, expected header")
+    header = _HEADER_RE.match(line)
+    if header is None:
+        raise ValueError(
+            f"{path}: line 1: malformed header, expected "
+            f"'# d=<int> n=<int> labeled=<0|1>'"
+        )
+    return int(header.group(1)), int(header.group(2)), header.group(3) == "1"
+
+
+def _floats(text: str):
+    """The numbers in ``text``, or None if any part of it does not parse.
+
+    numpy warns about an unparsed tail before 2.x and raises after.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(text, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _integer(token: str):
+    """``int(token)``, or None when it fails or the token holds ``_``."""
     try:
-        return "_" not in token and math.isfinite(float(token))
+        return None if "_" in token else int(token)
     except ValueError:
-        return False
+        return None
+
+
+def _is_decimal(token: str) -> bool:
+    """Whether the token reads as one finite number without underscores."""
+    values = None if "_" in token else _floats(token)
+    return values is not None and values.size == 1 and bool(np.isfinite(values[0]))
+
+
+def _raise_row_error(path, lineno: int, line: str, d: int, n: int, row: int,
+                     labeled: bool):
+    """Raise the error for a row that the fast parse did not accept.
+
+    The checks run in the format's order: duplicate header, column count,
+    surplus row, label, then the first value that is not a finite decimal.
+    """
+    where = f"{path}: line {lineno}"
+    if _HEADER_RE.match(line):
+        raise ValueError(f"{where}: duplicate header")
+    tokens = _TOKEN_RE.findall(line)
+    if len(tokens) != d + 1:
+        raise ValueError(
+            f"{where}: expected {d + 1} columns (label + {d} features), "
+            f"found {len(tokens)}"
+        )
+    if row >= n:
+        raise ValueError(f"{where}: more than the declared n={n} samples")
+    label = _integer(tokens[0])
+    if label is None:
+        raise ValueError(f"{where}: label {tokens[0]!r} is not an integer")
+    if labeled and label < 0:
+        raise ValueError(f"{where}: labeled file requires labels >= 0")
+    if not labeled and label != -1:
+        raise ValueError(f"{where}: unlabeled file requires label -1")
+    for token in tokens[1:]:
+        if not _is_decimal(token):
+            raise ValueError(f"{where}: value {token!r} is not a finite decimal")
+    raise ValueError(f"{where}: row does not parse as {d + 1} numbers")
+
+
+def _line_of_byte(fh, exc: UnicodeDecodeError, lines_read: int) -> int:
+    r"""1-based line of the byte that failed to decode.
+
+    ``exc.object`` is the undecoded chunk that holds the byte; the lines
+    before it in the chunk end at \n, \r\n or \r. Every line before the
+    chunk has been read, except one whose \r ended the previous chunk: the
+    reader holds such a \r back to see whether a \n follows it.
+    """
+    chunk = exc.object
+    before = chunk[:exc.start]
+    ends = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+    start = fh.buffer.tell() - len(chunk)
+    if start > 0 and not chunk.startswith(b"\n"):
+        fh.buffer.seek(start - 1)
+        ends += fh.buffer.read(1) == b"\r"
+    return lines_read + ends + 1
 
 
 def save_features(dataset: DomainDataset, path) -> None:
@@ -165,6 +222,8 @@ def gen_synthetic(classes: int, per_class: int, dim: int, shift_magnitude: float
         e2 /= np.linalg.norm(e2)
         angle = _ROTATION_PER_SHIFT * shift_magnitude
         xt = _rotate_in_plane(xt, e1, e2, angle) + shift[:, None]
+    for x in (xs, xt):
+        x.setflags(write=False)  # so the datasets adopt them without a copy
     source = DomainDataset(xs, labels=labels, domain="source")
     target = DomainDataset(xt, eval_labels=labels, domain="target")
     return source, target

@@ -9,7 +9,6 @@ classes. Fusing the two tables takes the elementwise maximum.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import PseudoLabelSet
 from .linalg import solve_assignment
@@ -56,15 +55,29 @@ def compute_prototypes(embedded, labels, n_classes: int | None = None) -> Protot
     return PrototypeSet(vectors=l2_normalize_columns(sums / counts))
 
 
-def _distance_table(embedded, centers) -> np.ndarray:
-    x = np.asarray(embedded, dtype=float)
+def _squared_distances(x, centers) -> np.ndarray:
+    """n x k table of squared Euclidean distances between columns.
+
+    Formed as ||x||^2 - 2 x^T c + ||c||^2 with one product, and clipped at 0
+    where rounding would leave a tiny negative for coincident columns.
+    """
+    x = np.asarray(x, dtype=float)
     centers = np.asarray(centers, dtype=float)
     if x.shape[0] != centers.shape[0]:
         raise ValueError(
             f"dimension mismatch: samples have d={x.shape[0]}, "
             f"centers have d={centers.shape[0]}"
         )
-    return cdist(x.T, centers.T)
+    sq = x.T @ centers
+    sq *= -2.0
+    sq += np.einsum("ij,ij->j", x, x)[:, None]
+    sq += np.einsum("ij,ij->j", centers, centers)
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _distance_table(embedded, centers) -> np.ndarray:
+    """n x k table of Euclidean distances between columns."""
+    return np.sqrt(_squared_distances(embedded, centers))
 
 
 def _softmax_neg_distance(dists: np.ndarray) -> np.ndarray:
@@ -100,17 +113,16 @@ def kmeans_clusters(tgt_embedded, init: PrototypeSet,
         raise ValueError(f"need at least {k} target samples, got {n}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    centers = init.vectors.copy()
+    centers = init.vectors
     assign = None
     for _ in range(max_iter):
-        sq = _distance_table(x, centers) ** 2
+        sq = _squared_distances(x, centers)
         new_assign = np.argmin(sq, axis=1)
         new_assign = _reseed_empty(sq, new_assign, k)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(k):
-            centers[:, c] = x[:, assign == c].mean(axis=1)
+        centers = class_sums(x, assign, k) / np.bincount(assign, minlength=k)
     return ClusterSet(centers=centers, membership=assign)
 
 
@@ -144,7 +156,7 @@ def match_clusters(clusters: ClusterSet, protos: PrototypeSet) -> ClusterSet:
             f"cluster/prototype shape mismatch: {clusters.centers.shape} "
             f"vs {protos.vectors.shape}"
         )
-    cost = cdist(clusters.centers.T, protos.vectors.T)
+    cost = _distance_table(clusters.centers, protos.vectors)
     matching = solve_assignment(cost)
     perm = matching.assignment
     by_class = np.empty_like(clusters.centers)

@@ -50,6 +50,19 @@ class TestDomainDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 7.0
 
+    def test_writeable_features_copied(self):
+        feats = np.ones((2, 3))
+        ds = DomainDataset(feats)
+        feats[0, 0] = 7.0
+        assert ds.features[0, 0] == 1.0 and feats.flags.writeable
+
+    def test_frozen_float_array_adopted(self):
+        feats = np.ones((2, 3))
+        feats.setflags(write=False)
+        assert DomainDataset(feats).features is feats
+        view = feats[:, :2]  # does not own its memory
+        assert not np.shares_memory(DomainDataset(view).features, feats)
+
     def test_without_eval_labels(self):
         ds = make_target(eval_labels=[0, 1, 2])
         assert ds.without_eval_labels().eval_labels is None

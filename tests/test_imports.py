@@ -2,7 +2,8 @@
 
 ``synth``, ``baseline-1nn`` and ``--help`` must start without scipy, while
 ``splda.pipeline`` keeps importing it up front so a library caller's first
-run pays no import inside the call. Each check runs in a fresh interpreter.
+run pays no import inside the call. Distance tables are numpy products, so
+no command loads ``scipy.spatial``. Each check runs in a fresh interpreter.
 """
 
 import json
@@ -74,10 +75,25 @@ def test_package_import_loads_no_scipy():
     assert scipy_modules(modules) == []
 
 
+def spatial_modules(modules):
+    return [m for m in modules if m == "scipy.spatial" or m.startswith("scipy.spatial.")]
+
+
 def test_pipeline_import_loads_scipy_linalg():
     modules = run_python(
         "import json, sys, splda.pipeline; print(json.dumps(sorted(sys.modules)))")
     assert "scipy.linalg" in modules
+    assert spatial_modules(modules) == []
+
+
+def test_ablate_runs_without_scipy_spatial(pair_args, tmp_path):
+    argv = ["ablate", *pair_args, "--d1", "4", "--d2", "3", "--iters", "2",
+            "--jobs", "1", "--report", str(tmp_path / "r.json")]
+    modules = run_python(RUN_CLI, json.dumps(argv))
+    assert "splda.labeling" in modules
+    assert spatial_modules(modules) == []
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert [t["status"] for t in report["tasks"]] == ["ok"] * 9
 
 
 def test_every_public_name_resolves_and_is_listed():

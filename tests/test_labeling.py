@@ -1,10 +1,13 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from splda.labeling import (
     ClusterSet,
     PrototypeSet,
+    _distance_table,
+    _squared_distances,
     compute_prototypes,
     fuse_and_label,
     kmeans_clusters,
@@ -14,7 +17,7 @@ from splda.labeling import (
 )
 from splda.preprocess import ZeroVectorWarning
 
-from conftest import brute_force_assignment
+from conftest import brute_force_assignment, reference_kmeans
 
 
 def mp_softmax_rows(dists):
@@ -85,6 +88,49 @@ class TestNcpProbabilities:
         assert table.min() > 0.0 and table.max() < 1.0
 
 
+def distance_cases():
+    """(points, centers) pairs: random, duplicated points, points on centers,
+    and zero columns on either side."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(16, 300)) * 3.0
+    c = rng.normal(size=(16, 12))
+    yield x, c
+    yield x[:, rng.integers(0, 300, size=300)], c
+    on_centers = x.copy()
+    on_centers[:, :36] = np.tile(c, 3)
+    yield on_centers, c
+    zeros = x.copy()
+    zeros[:, ::7] = 0.0
+    zero_centers = c.copy()
+    zero_centers[:, 4] = 0.0
+    yield zeros, zero_centers
+    yield 1e-3 * x, 1e3 * c
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize("case", list(distance_cases()))
+    def test_matches_cdist(self, case):
+        x, c = case
+        oracle = cdist(x.T, c.T)
+        # rounding of the one-product form is relative to the norms involved
+        scale = (x * x).sum(axis=0)[:, None] + (c * c).sum(axis=0)
+        np.testing.assert_array_less(np.abs(_squared_distances(x, c) - oracle ** 2),
+                                     1e-12 * scale + 1e-300)
+        # away from coincident columns the distances agree to 1e-12 relative
+        apart = oracle ** 2 > 1e-2 * scale
+        np.testing.assert_allclose(_distance_table(x, c)[apart], oracle[apart], rtol=1e-12)
+        np.testing.assert_array_equal(np.argmin(_distance_table(x, c), axis=1),
+                                      np.argmin(oracle, axis=1))
+
+    def test_nonnegative_at_coincident_columns(self):
+        c = np.random.default_rng(2).normal(size=(5, 4)) * 1e3
+        assert (_squared_distances(c, c) >= 0.0).all()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _distance_table(np.ones((3, 2)), np.ones((4, 2)))
+
+
 class TestKmeans:
     def test_samples_already_at_prototypes(self):
         protos = PrototypeSet(vectors=np.eye(3))
@@ -132,6 +178,28 @@ class TestKmeans:
         second = kmeans_clusters(x, protos)
         np.testing.assert_array_equal(first.membership, second.membership)
         np.testing.assert_array_equal(first.centers, second.centers)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_mean_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 6
+        x = rng.normal(size=(8, 90)) + np.repeat(rng.normal(size=(8, k)) * 2.0, 15, axis=1)
+        protos = PrototypeSet(vectors=rng.normal(size=(8, k)))
+        for max_iter in (1, 2, 100):
+            clusters = kmeans_clusters(x, protos, max_iter=max_iter)
+            centers, membership = reference_kmeans(x, protos.vectors, max_iter)
+            np.testing.assert_array_equal(clusters.membership, membership)
+            np.testing.assert_allclose(clusters.centers, centers, rtol=1e-12, atol=1e-14)
+
+    def test_reseeded_cluster_matches_oracle(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 20))
+        protos = PrototypeSet(vectors=np.array([[0.0, 1.0, 500.0],
+                                                [0.0, 1.0, 500.0]]))
+        clusters = kmeans_clusters(x, protos)
+        centers, membership = reference_kmeans(x, protos.vectors, 100)
+        np.testing.assert_array_equal(clusters.membership, membership)
+        np.testing.assert_allclose(clusters.centers, centers, rtol=1e-12, atol=1e-14)
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError, match="at least"):

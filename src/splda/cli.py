@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 
 from .data import LABELING_MODES, RunConfig, SELECTION_MODES
@@ -73,13 +74,16 @@ def _baseline_task(task: dict) -> dict:
     """Worker for one 1NN baseline; returns a report record."""
     record = _record(task["source"], task["target"], {})
     started = time.perf_counter()
-    try:
-        src = load_features(task["source"], domain="source")
-        tgt = load_features(task["target"], domain="target")
-        record["final_accuracy"] = nn_baseline(src, tgt)
-    except Exception as exc:  # noqa: BLE001 - any task failure is reportable
-        record["status"] = "failed"
-        record["error"] = _describe(exc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            src = load_features(task["source"], domain="source")
+            tgt = load_features(task["target"], domain="target")
+            record["final_accuracy"] = nn_baseline(src, tgt)
+        except Exception as exc:  # noqa: BLE001 - any task failure is reportable
+            record["status"] = "failed"
+            record["error"] = _describe(exc)
+    record["warnings"] = [str(w.message) for w in caught]
     record["wall_time_s"] = time.perf_counter() - started
     return record
 

@@ -54,6 +54,8 @@ class DomainDataset:
             feats = np.array(feats, dtype=float)
         if feats.ndim != 2:
             raise ValueError(f"features must be a 2-D matrix, got ndim={feats.ndim}")
+        if feats.shape[0] < 1:
+            raise ValueError("dataset needs at least one feature")
         if feats.shape[1] < 1:
             raise ValueError("dataset needs at least one sample")
         if not np.isfinite(feats).all():
@@ -78,39 +80,6 @@ class DomainDataset:
 
     def without_eval_labels(self) -> "DomainDataset":
         return replace(self, eval_labels=None)
-
-
-@dataclass(frozen=True)
-class PseudoLabelSet:
-    """Per-target-sample triplets (index, predicted class, confidence)."""
-
-    indices: np.ndarray
-    classes: np.ndarray
-    confidences: np.ndarray
-
-    def __post_init__(self):
-        idx = _frozen_array(np.asarray(self.indices, dtype=int), int)
-        cls = _frozen_array(np.asarray(self.classes, dtype=int), int)
-        conf = _frozen_array(np.asarray(self.confidences, dtype=float), float)
-        if not (idx.shape == cls.shape == conf.shape) or idx.ndim != 1:
-            raise ValueError("indices, classes and confidences must be aligned vectors")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("target indices must be unique")
-        if conf.size and (not np.isfinite(conf).all() or conf.min() < 0 or conf.max() > 1):
-            raise ValueError("confidences must be finite and within [0, 1]")
-        if (cls < 0).any():
-            raise ValueError("class ids must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "classes", cls)
-        object.__setattr__(self, "confidences", conf)
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-    @staticmethod
-    def empty() -> "PseudoLabelSet":
-        return PseudoLabelSet(np.array([], dtype=int), np.array([], dtype=int),
-                              np.array([], dtype=float))
 
 
 @dataclass(frozen=True)

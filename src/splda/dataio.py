@@ -27,6 +27,9 @@ _TOKEN_RE = re.compile(r"[^ \t\v\f\n]+")
 _HEADER_RE = re.compile(
     r"#[ \t\v\f]*d=(\d+)[ \t\v\f]+n=(\d+)[ \t\v\f]+labeled=([01])[ \t\v\f]*$")
 
+# The largest label the int label vector holds.
+_LABEL_MAX = np.iinfo(int).max
+
 # Class blobs are unit-variance Gaussians; target samples get a rotation of
 # this many radians per unit of shift, so zero shift means identical domains.
 _ROTATION_PER_SHIFT = 0.05
@@ -62,7 +65,7 @@ def load_features(path, domain: str = "source") -> DomainDataset:
                 label = _integer(_TOKEN_RE.search(line).group())
                 if (row < n and values is not None and values.size == d + 1
                         and "_" not in line and label is not None
-                        and (label >= 0 if labeled else label == -1)
+                        and (0 <= label <= _LABEL_MAX if labeled else label == -1)
                         and np.isfinite(values).all()):
                     features[:, row] = values[1:]
                     if labeled:
@@ -93,7 +96,13 @@ def _parse_header(path, line: str):
             f"{path}: line 1: malformed header, expected "
             f"'# d=<int> n=<int> labeled=<0|1>'"
         )
-    return int(header.group(1)), int(header.group(2)), header.group(3) == "1"
+    d, n = int(header.group(1)), int(header.group(2))
+    if d < 1 or n < 1:
+        raise ValueError(
+            f"{path}: line 1: header declares d={d} n={n}; "
+            f"a dataset needs d >= 1 and n >= 1"
+        )
+    return d, n, header.group(3) == "1"
 
 
 def _floats(text: str):
@@ -146,6 +155,8 @@ def _raise_row_error(path, lineno: int, line: str, d: int, n: int, row: int,
         raise ValueError(f"{where}: label {tokens[0]!r} is not an integer")
     if labeled and label < 0:
         raise ValueError(f"{where}: labeled file requires labels >= 0")
+    if labeled and label > _LABEL_MAX:
+        raise ValueError(f"{where}: label {tokens[0]!r} is out of range")
     if not labeled and label != -1:
         raise ValueError(f"{where}: unlabeled file requires label -1")
     for token in tokens[1:]:

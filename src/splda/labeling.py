@@ -3,46 +3,20 @@
 Two complementary views produce per-class conditional probabilities for
 every target sample: distances to source class prototypes, and distances
 to K-means cluster centers that have been matched one-to-one with the
-classes. Fusing the two tables takes the elementwise maximum.
+classes. Fusing the two tables takes the elementwise maximum. Prototypes
+and centers are d x C matrices with one column per class.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PseudoLabelSet
 from .linalg import solve_assignment
 from .preprocess import class_sums, l2_normalize_columns
 
 KMEANS_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
-    """One L2-normalized class-mean column per class."""
-
-    vectors: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """Cluster centers with per-sample membership ids.
-
-    Before matching, center columns are in arbitrary cluster order; after
-    :func:`match_clusters` they are indexed by class and membership holds
-    class ids.
-    """
-
-    centers: np.ndarray
-    membership: np.ndarray
-
-
-def compute_prototypes(embedded, labels, n_classes: int | None = None) -> PrototypeSet:
-    """Per-class mean of embedded source columns, then L2-normalized."""
+def compute_prototypes(embedded, labels, n_classes: int | None = None) -> np.ndarray:
+    """d x C matrix of per-class means of embedded source columns, L2-normalized."""
     x = np.asarray(embedded, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if n_classes is None:
@@ -52,7 +26,7 @@ def compute_prototypes(embedded, labels, n_classes: int | None = None) -> Protot
         missing = np.flatnonzero(counts == 0).tolist()
         raise ValueError(f"no samples for class(es) {missing}")
     sums = class_sums(x, labels, n_classes)
-    return PrototypeSet(vectors=l2_normalize_columns(sums / counts))
+    return l2_normalize_columns(sums / counts)
 
 
 def _squared_distances(x, centers) -> np.ndarray:
@@ -88,32 +62,32 @@ def _softmax_neg_distance(dists: np.ndarray) -> np.ndarray:
     return table / table.sum(axis=1, keepdims=True)
 
 
-def ncp_probabilities(tgt_embedded, protos: PrototypeSet) -> np.ndarray:
+def ncp_probabilities(tgt_embedded, protos) -> np.ndarray:
     """Row-stochastic table of p(class | sample) from prototype distances."""
-    return _softmax_neg_distance(_distance_table(tgt_embedded, protos.vectors))
+    return _softmax_neg_distance(_distance_table(tgt_embedded, protos))
 
 
-def sp_probabilities(tgt_embedded, matched: ClusterSet) -> np.ndarray:
-    """Row-stochastic table of p(class | sample) from matched cluster centers."""
-    return _softmax_neg_distance(_distance_table(tgt_embedded, matched.centers))
+def sp_probabilities(tgt_embedded, centers) -> np.ndarray:
+    """Row-stochastic table of p(class | sample) from class-indexed centers."""
+    return _softmax_neg_distance(_distance_table(tgt_embedded, centers))
 
 
-def kmeans_clusters(tgt_embedded, init: PrototypeSet,
-                    max_iter: int = KMEANS_MAX_ITER) -> ClusterSet:
-    """Lloyd iterations seeded at the class prototypes.
+def kmeans_clusters(tgt_embedded, init, max_iter: int = KMEANS_MAX_ITER):
+    """Lloyd iterations seeded at the columns of ``init`` (the prototypes).
 
-    Runs until the assignment reaches a fixpoint or ``max_iter`` sweeps.
-    An emptied cluster is re-seeded at the sample farthest from its own
-    center. The prototype seeding leaves nothing random.
+    Returns ``(centers, membership)``: the d x k centers and each sample's
+    cluster id. Runs until the assignment reaches a fixpoint or ``max_iter``
+    sweeps. An emptied cluster is re-seeded at the sample farthest from its
+    own center. The prototype seeding leaves nothing random.
     """
     x = np.asarray(tgt_embedded, dtype=float)
-    k = init.n_classes
+    centers = np.asarray(init, dtype=float)
+    k = centers.shape[1]
     n = x.shape[1]
     if n < k:
         raise ValueError(f"need at least {k} target samples, got {n}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    centers = init.vectors
     assign = None
     for _ in range(max_iter):
         sq = _squared_distances(x, centers)
@@ -123,7 +97,7 @@ def kmeans_clusters(tgt_embedded, init: PrototypeSet,
             break
         assign = new_assign
         centers = class_sums(x, assign, k) / np.bincount(assign, minlength=k)
-    return ClusterSet(centers=centers, membership=assign)
+    return centers, assign
 
 
 def _reseed_empty(sq_dists: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
@@ -145,27 +119,24 @@ def _reseed_empty(sq_dists: np.ndarray, assign: np.ndarray, k: int) -> np.ndarra
     return assign
 
 
-def match_clusters(clusters: ClusterSet, protos: PrototypeSet) -> ClusterSet:
-    """Re-index cluster centers by class via minimum-cost one-to-one matching.
+def match_clusters(centers, protos) -> np.ndarray:
+    """Cluster centers re-indexed by class via minimum-cost one-to-one matching.
 
     The cost of pairing cluster i with class j is the Euclidean distance
-    between their centers.
+    between their centers; column j of the result is the center matched to
+    class j.
     """
-    if clusters.centers.shape != protos.vectors.shape:
+    if centers.shape != protos.shape:
         raise ValueError(
-            f"cluster/prototype shape mismatch: {clusters.centers.shape} "
-            f"vs {protos.vectors.shape}"
+            f"cluster/prototype shape mismatch: {centers.shape} vs {protos.shape}"
         )
-    cost = _distance_table(clusters.centers, protos.vectors)
-    matching = solve_assignment(cost)
-    perm = matching.assignment
-    by_class = np.empty_like(clusters.centers)
-    by_class[:, perm] = clusters.centers
-    return ClusterSet(centers=by_class, membership=perm[clusters.membership])
+    by_class = np.empty_like(centers)
+    by_class[:, solve_assignment(_distance_table(centers, protos))] = centers
+    return by_class
 
 
-def fuse_and_label(p1, p2, mode: str) -> PseudoLabelSet:
-    """Pick per-sample labels and confidences from the probability tables.
+def fuse_and_label(p1, p2, mode: str):
+    """Per-sample ``(classes, confidences)`` from the probability tables.
 
     ``ncp`` uses p1 alone, ``sp`` uses p2 alone, ``fused`` takes the
     elementwise maximum of both. The label is the argmax class (ties go to
@@ -185,5 +156,4 @@ def fuse_and_label(p1, p2, mode: str) -> PseudoLabelSet:
         raise ValueError(f"unknown labeling mode {mode!r}")
     classes = np.argmax(table, axis=1)
     confidences = table[np.arange(table.shape[0]), classes]
-    return PseudoLabelSet(indices=np.arange(table.shape[0]),
-                          classes=classes, confidences=confidences)
+    return classes, confidences

@@ -2,7 +2,8 @@
 
 Three operations are provided: symmetric eigendecomposition, generalized
 symmetric-definite eigendecomposition (both through ``scipy.linalg.eigh``),
-and an exact minimum-cost assignment solver.
+and an exact minimum-cost assignment solver. The eigensolvers return
+``(values, vectors)`` and the assignment solver the assignment vector.
 Everything is deterministic: eigenvector signs are canonicalized and
 assignment ties are resolved lexicographically.
 
@@ -12,8 +13,6 @@ otherwise. With one BLAS thread, ``gvx`` took 0.59x of ``gvd``'s time at
 n=1024, k=64 and 0.73x at k=128, but 1.10x at k=384; at n=512 it took
 0.65x at k=64 and 0.99x at k=128; at n=128, k=128 it took 2.5x.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,29 +25,6 @@ _PARTIAL_SPECTRUM_RATIO = 8
 
 class NumericalError(RuntimeError):
     """A dense factorization failed (non-convergence or indefiniteness)."""
-
-
-@dataclass(frozen=True)
-class EigenPairs:
-    """Eigenvalues sorted descending, vectors as matching unit-norm columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape[0] != self.vectors.shape[1]:
-            raise ValueError("eigenvalue count must match eigenvector columns")
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Bijection between two equally sized index sets: i -> assignment[i]."""
-
-    assignment: np.ndarray
-
-    def total_cost(self, cost: np.ndarray) -> float:
-        n = self.assignment.size
-        return float(np.asarray(cost)[np.arange(n), self.assignment].sum())
 
 
 def _checked_symmetric(m, name: str) -> np.ndarray:
@@ -101,8 +77,8 @@ def _eigh_descending(a: np.ndarray, b: np.ndarray | None = None,
     return values[::-1], vectors[:, ::-1]
 
 
-def sym_eig(m, k: int) -> EigenPairs:
-    """Top-k eigenpairs of a symmetric matrix.
+def sym_eig(m, k: int):
+    """Top-k eigenpairs of a symmetric matrix as ``(values, vectors)``.
 
     Eigenvalues are returned in descending order; eigenvectors are unit-norm
     columns with canonical signs. Each pair satisfies
@@ -113,15 +89,15 @@ def sym_eig(m, k: int) -> EigenPairs:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     values, vectors = _eigh_descending(m)
-    return EigenPairs(values=values[:k].copy(),
-                      vectors=_canonical_signs(vectors[:, :k]))
+    return values[:k].copy(), _canonical_signs(vectors[:, :k])
 
 
-def gen_eig(a, b, k: int) -> EigenPairs:
+def gen_eig(a, b, k: int):
     """Top-k pairs of the symmetric-definite pencil ``a p = value * b p``.
 
-    ``b`` must be positive definite; otherwise a NumericalError names the
-    pivot at which its Cholesky factorization fails. The pencil is solved
+    Returns ``(values, vectors)`` with the values descending. ``b`` must be
+    positive definite; otherwise a NumericalError names the pivot at which
+    its Cholesky factorization fails. The pencil is solved
     by ``scipy.linalg.eigh`` with ``b``: for the top k pairs alone by
     LAPACK's expert driver ``gvx`` when ``8 * k <= n``, and otherwise for
     the full spectrum by the divide-and-conquer driver ``gvd``. ``gvx`` was
@@ -140,14 +116,16 @@ def gen_eig(a, b, k: int) -> EigenPairs:
     values, vectors = _eigh_descending(a, b, k if partial else None)
     p = vectors[:, :k]
     p = p / np.linalg.norm(p, axis=0, keepdims=True)
-    return EigenPairs(values=values[:k].copy(), vectors=_canonical_signs(p))
+    return values[:k].copy(), _canonical_signs(p)
 
 
-def solve_assignment(c) -> Matching:
+def solve_assignment(c) -> np.ndarray:
     """Exact minimum-cost one-to-one assignment for a square cost matrix.
 
-    Uses the Hungarian method with dual potentials, O(n^3). Among equal-cost
-    optima the lexicographically smallest assignment vector is returned.
+    Returns the assignment vector, which sends row i to column
+    ``assignment[i]``. Uses the Hungarian method with dual potentials,
+    O(n^3). Among equal-cost optima the lexicographically smallest
+    assignment vector is returned.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -158,14 +136,14 @@ def solve_assignment(c) -> Matching:
         raise ValueError("cost matrix entries must be nonnegative")
     n = c.shape[0]
     if n == 1:
-        return Matching(assignment=np.array([0]))
+        return np.array([0])
     row_to_col, u, v = _hungarian(c)
     # Complementary slackness: every optimal assignment lives on edges whose
     # reduced cost is zero under the optimal potentials.
     tol = 1e-9 * (1.0 + float(np.abs(c).max()))
     admissible = (c - u[:, None] - v[None, :]) <= tol
     admissible[np.arange(n), row_to_col] = True
-    return Matching(assignment=_lex_min_matching(admissible))
+    return _lex_min_matching(admissible)
 
 
 def _hungarian(cost: np.ndarray):

@@ -17,7 +17,6 @@ import numpy as np
 from .data import (
     DomainDataset,
     LABELING_MODES,
-    PseudoLabelSet,
     RunConfig,
     SELECTION_MODES,
     validate_pair,
@@ -81,13 +80,13 @@ class AdaptationResult:
         }
 
 
-def _pseudo_label_all(tgt_embedded, protos, mode: str) -> PseudoLabelSet:
+def _pseudo_label_all(tgt_embedded, protos, mode: str):
+    """``(classes, confidences)`` of every target sample."""
     p1 = ncp_probabilities(tgt_embedded, protos) if mode in ("ncp", "fused") else None
     p2 = None
     if mode in ("sp", "fused"):
-        clusters = kmeans_clusters(tgt_embedded, protos)
-        matched = match_clusters(clusters, protos)
-        p2 = sp_probabilities(tgt_embedded, matched)
+        centers, _ = kmeans_clusters(tgt_embedded, protos)
+        p2 = sp_probabilities(tgt_embedded, match_clusters(centers, protos))
     return fuse_and_label(p1, p2, mode)
 
 
@@ -166,38 +165,37 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
         pooled = np.hstack([xs, xt])
         subspace_dim = min(config.subspace_dim, xs.shape[0])
 
-        def fit(selected: PseudoLabelSet) -> SlppModel:
-            if len(selected) == 0:
-                labeled, lab = xs, ys
-            else:
-                labeled = np.hstack([xs, xt[:, selected.indices]])
-                lab = np.concatenate([ys, selected.classes])
+        def fit(chosen: np.ndarray, classes: np.ndarray) -> SlppModel:
+            # the source columns plus the chosen targets under their pseudo-labels
+            labeled = np.hstack([xs, xt[:, chosen]])
+            lab = np.concatenate([ys, classes[chosen]])
             return slpp_fit(labeled, lab, subspace_dim, all_data=pooled)
 
-        def label_all(model: SlppModel) -> PseudoLabelSet:
+        def label_all(model: SlppModel):
             zs = embed(model, xs)
             zt = embed(model, xt)
             protos = compute_prototypes(zs, ys, prepared.n_classes)
             return _pseudo_label_all(zt, protos, config.labeling)
 
-        def snapshot(k: int, n_selected: int, pl: PseudoLabelSet) -> IterationSnapshot:
-            acc = None if truth is None else evaluate(pl.classes, truth)
+        def snapshot(k: int, n_selected: int, classes: np.ndarray) -> IterationSnapshot:
+            acc = None if truth is None else evaluate(classes, truth)
             return IterationSnapshot(iteration=k, selected_count=n_selected, accuracy=acc)
 
-        model = fit(PseudoLabelSet.empty())
-        pseudo = label_all(model)
-        snapshots = [snapshot(0, 0, pseudo)]
+        nothing = np.empty(0, dtype=int)
+        model = fit(nothing, nothing)
+        classes, confidences = label_all(model)
+        snapshots = [snapshot(0, 0, classes)]
         for k in range(1, config.iterations + 1):
             if config.selection == "none":
                 # no pseudo-label ever joins the fit: the source-only model stands
                 snapshots.append(replace(snapshots[0], iteration=k))
                 continue
-            chosen = select(pseudo, k, config.iterations, config.selection)
-            model = fit(chosen)
-            pseudo = label_all(model)
-            snapshots.append(snapshot(k, len(chosen), pseudo))
+            chosen = select(classes, confidences, k, config.iterations, config.selection)
+            model = fit(chosen, classes)
+            classes, confidences = label_all(model)
+            snapshots.append(snapshot(k, chosen.size, classes))
     return AdaptationResult(
-        predictions=np.asarray(prepared.label_names)[pseudo.classes],
+        predictions=np.asarray(prepared.label_names)[classes],
         snapshots=tuple(snapshots),
         model=model,
         config=config,

@@ -39,12 +39,11 @@ def pca_fit(x: np.ndarray, n_components: int) -> np.ndarray:
         )
     x -= x.mean(axis=1)[:, None]
     if d <= n:
-        pairs = linalg.sym_eig(x @ x.T, n_components)
+        values, vectors = linalg.sym_eig(x @ x.T, n_components)
     else:
         # Gram trick: eigenvectors w of X^T X map to scatter eigenvectors
         # X w / sqrt(value), identical nonzero spectrum.
-        pairs = linalg.sym_eig(x.T @ x, n_components)
-    values, vectors = pairs.values, pairs.vectors
+        values, vectors = linalg.sym_eig(x.T @ x, n_components)
     if values[0] <= 0.0:
         raise ValueError("pooled data has zero variance; PCA is undefined")
     keep = values > _RANK_CUTOFF * values[0]

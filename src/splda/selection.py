@@ -2,49 +2,22 @@
 
 At iteration k of T, each class keeps its floor(k * n_c / T) most confident
 samples, so every class grows its quota at the same rate and no class can
-crowd out the others. Selection is recomputed from scratch each iteration.
+crowd out the others. Selection is recomputed from scratch each iteration
+from the per-sample classes and confidences of the latest labeling.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PseudoLabelSet, SELECTION_MODES
+from .data import SELECTION_MODES
 
 
-@dataclass(frozen=True)
-class SelectionPlan:
-    """Per-class quotas and the target indices chosen under them."""
+def select(classes, confidences, iteration: int, total_iterations: int,
+           mode: str) -> np.ndarray:
+    """Sorted target indices admitted to the next round of fitting.
 
-    iteration: int
-    total_iterations: int
-    quotas: np.ndarray
-    selected_by_class: tuple
-
-
-def plan_selection(pl: PseudoLabelSet, iteration: int,
-                   total_iterations: int) -> SelectionPlan:
-    n_classes = int(pl.classes.max()) + 1 if len(pl) else 0
-    quotas = np.zeros(n_classes, dtype=int)
-    chosen = []
-    for c in range(n_classes):
-        rows = np.flatnonzero(pl.classes == c)
-        n_c = rows.size
-        quota = min((iteration * n_c) // total_iterations, n_c)
-        quotas[c] = quota
-        # confidence descending, ties by target index ascending
-        order = np.lexsort((pl.indices[rows], -pl.confidences[rows]))
-        chosen.append(np.sort(pl.indices[rows[order[:quota]]]))
-    return SelectionPlan(iteration=iteration, total_iterations=total_iterations,
-                         quotas=quotas, selected_by_class=tuple(chosen))
-
-
-def select(pl: PseudoLabelSet, iteration: int, total_iterations: int,
-           mode: str) -> PseudoLabelSet:
-    """Subset of pseudo-labels admitted to the next round of fitting.
-
-    ``progressive`` applies the class-wise quotas, ``all`` admits every
-    pseudo-label and ``none`` admits nothing.
+    ``progressive`` keeps, within each class, the samples whose rank by
+    confidence (descending, ties to the smaller index) is below the class
+    quota; ``all`` admits every sample and ``none`` admits nothing.
     """
     if not 1 <= iteration <= total_iterations:
         raise ValueError(
@@ -52,15 +25,17 @@ def select(pl: PseudoLabelSet, iteration: int, total_iterations: int,
         )
     if mode not in SELECTION_MODES:
         raise ValueError(f"selection mode must be one of {SELECTION_MODES}, got {mode!r}")
+    classes = np.asarray(classes, dtype=int)
+    n = classes.size
     if mode == "none":
-        return PseudoLabelSet.empty()
+        return np.empty(0, dtype=int)
     if mode == "all":
-        return pl
-    plan = plan_selection(pl, iteration, total_iterations)
-    keep_indices = np.concatenate(plan.selected_by_class) if plan.selected_by_class \
-        else np.array([], dtype=int)
-    mask = np.isin(pl.indices, keep_indices)
-    order = np.argsort(pl.indices[mask], kind="stable")
-    return PseudoLabelSet(indices=pl.indices[mask][order],
-                          classes=pl.classes[mask][order],
-                          confidences=pl.confidences[mask][order])
+        return np.arange(n)
+    index = np.arange(n)
+    order = np.lexsort((index, -np.asarray(confidences, dtype=float), classes))
+    counts = np.bincount(classes)
+    by_class = classes[order]
+    # rank of each sorted row within its class: classes occupy contiguous runs
+    rank = index - (np.cumsum(counts) - counts)[by_class]
+    quotas = (iteration * counts) // total_iterations
+    return np.sort(order[rank < quotas[by_class]])

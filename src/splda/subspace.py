@@ -65,8 +65,7 @@ def slpp_fit(labeled_data, labels, n_components: int, all_data=None) -> SlppMode
         raise ValueError(f"labels must align with the {m} data columns")
     if not 1 <= n_components <= d:
         raise ValueError(f"n_components must be in 1..{d}, got {n_components}")
-    pairs = linalg.gen_eig(*_pencil(x, labels), n_components)
-    projection = pairs.vectors
+    _, projection = linalg.gen_eig(*_pencil(x, labels), n_components)
     reference = x if all_data is None else np.asarray(all_data, dtype=float)
     if reference.shape[0] != d:
         raise ValueError(

@@ -54,6 +54,11 @@ def reference_load(path):
             f"'# d=<int> n=<int> labeled=<0|1>'"
         )
     d, n, labeled = int(header.group(1)), int(header.group(2)), header.group(3) == "1"
+    if d < 1 or n < 1:
+        raise ValueError(
+            f"{path}: line 1: header declares d={d} n={n}; "
+            f"a dataset needs d >= 1 and n >= 1"
+        )
     features = np.empty((d, n), dtype=float)
     labels = np.empty(n, dtype=int) if labeled else None
     row = 0
@@ -83,6 +88,10 @@ def reference_load(path):
         if labeled and label < 0:
             raise ValueError(
                 f"{path}: line {lineno}: labeled file requires labels >= 0"
+            )
+        if labeled and label > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"{path}: line {lineno}: label {tokens[0]!r} is out of range"
             )
         if not labeled and label != -1:
             raise ValueError(
@@ -136,6 +145,28 @@ def reference_kmeans(x, centers, max_iter):
         for c in range(k):
             centers[:, c] = x[:, assign == c].mean(axis=1)
     return centers, assign
+
+
+def reference_select(classes, confidences, iteration, total_iterations, mode):
+    """Per-class selection loop; the oracle for ``select``.
+
+    Each class c keeps its floor(iteration * n_c / total_iterations) most
+    confident samples, ties to the smaller index. Returns the sorted indices.
+    """
+    classes = np.asarray(classes, dtype=int)
+    confidences = np.asarray(confidences, dtype=float)
+    if mode == "none":
+        return np.array([], dtype=int)
+    if mode == "all":
+        return np.arange(classes.size)
+    chosen = []
+    for c in np.unique(classes):
+        rows = np.flatnonzero(classes == c)
+        quota = (iteration * rows.size) // total_iterations
+        # confidence descending, ties by target index ascending
+        order = np.lexsort((rows, -confidences[rows]))
+        chosen.append(rows[order[:quota]])
+    return np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=int)
 
 
 def random_spd(rng, n, shift=None):

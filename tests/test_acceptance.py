@@ -14,15 +14,9 @@ import numpy as np
 import pytest
 
 from splda.cli import main
-from splda.data import PseudoLabelSet, RunConfig
+from splda.data import RunConfig
 from splda.dataio import gen_synthetic, load_features
-from splda.labeling import (
-    PrototypeSet,
-    fuse_and_label,
-    ncp_probabilities,
-    sp_probabilities,
-)
-from splda.labeling import ClusterSet
+from splda.labeling import fuse_and_label, ncp_probabilities, sp_probabilities
 from splda.linalg import gen_eig, solve_assignment
 from splda.pipeline import nn_baseline, run
 from splda.selection import select
@@ -49,18 +43,19 @@ def test_criterion_1_oracle_equivalence():
         order = 2 + i % 7  # orders 2..8
         cost = rng.uniform(0, 10, size=(order, order))
         perm, best = brute_force_assignment(cost)
-        matching = solve_assignment(cost)
-        checks.append(matching.assignment.tolist() == perm.tolist())
-        checks.append(matching.total_cost(cost) == pytest.approx(best, abs=1e-10))
+        assignment = solve_assignment(cost)
+        checks.append(assignment.tolist() == perm.tolist())
+        total = cost[np.arange(order), assignment].sum()
+        checks.append(total == pytest.approx(best, abs=1e-10))
 
     rng = np.random.default_rng(1002)
     for _ in range(100):
         order = int(rng.integers(2, 65))
         a = random_spd(rng, order)
         b = random_spd(rng, order)
-        pairs = gen_eig(a, b, order)
+        values, vectors = gen_eig(a, b, order)
         bound = 1e-8 * (np.linalg.norm(a, "fro") + np.linalg.norm(b, "fro"))
-        residuals = a @ pairs.vectors - (b @ pairs.vectors) * pairs.values
+        residuals = a @ vectors - (b @ vectors) * values
         checks.append(float(np.linalg.norm(residuals, axis=0).max()) <= bound)
 
     rng = np.random.default_rng(1003)
@@ -87,34 +82,32 @@ def test_criterion_2_equation_level_properties():
         dim = int(rng.integers(2, 8))
         n_classes = int(rng.integers(2, 7))
         z = rng.normal(size=(dim, int(rng.integers(5, 40))))
-        protos = PrototypeSet(vectors=rng.normal(size=(dim, n_classes)))
-        centers = ClusterSet(centers=rng.normal(size=(dim, n_classes)),
-                             membership=np.zeros(z.shape[1], dtype=int))
+        protos = rng.normal(size=(dim, n_classes))
+        centers = rng.normal(size=(dim, n_classes))
         p1 = ncp_probabilities(z, protos)
         p2 = sp_probabilities(z, centers)
         checks.append(np.abs(p1.sum(axis=1) - 1.0).max() <= 1e-10)
         checks.append(np.abs(p2.sum(axis=1) - 1.0).max() <= 1e-10)
-        fused = fuse_and_label(p1, p2, "fused")
         table = np.maximum(p1, p2)
         direct = table[np.arange(table.shape[0]), np.argmax(table, axis=1)]
-        checks.append(np.array_equal(fused.confidences, direct))
-        checks.append(np.array_equal(fused.classes, np.argmax(table, axis=1)))
+        classes, confidences = fuse_and_label(p1, p2, "fused")
+        checks.append(np.array_equal(confidences, direct))
+        checks.append(np.array_equal(classes, np.argmax(table, axis=1)))
 
     for trial in range(30):
         trial_rng = np.random.default_rng(3000 + trial)
         n = int(trial_rng.integers(1, 60))
         n_classes = int(trial_rng.integers(1, 6))
-        pl = PseudoLabelSet(indices=np.arange(n),
-                            classes=trial_rng.integers(0, n_classes, size=n),
-                            confidences=trial_rng.uniform(size=n))
+        classes = trial_rng.integers(0, n_classes, size=n)
+        confidences = trial_rng.uniform(size=n)
         total = int(trial_rng.integers(1, 12))
         for k in range(1, total + 1):
-            out = select(pl, k, total, "progressive")
-            got = np.bincount(out.classes, minlength=n_classes)
+            out = select(classes, confidences, k, total, "progressive")
+            got = np.bincount(classes[out], minlength=n_classes)
             for c in range(n_classes):
-                n_c = int((pl.classes == c).sum())
+                n_c = int((classes == c).sum())
                 checks.append(got[c] == min((k * n_c) // total, n_c))
-        checks.append(len(select(pl, total, total, "progressive")) == n)
+        checks.append(len(select(classes, confidences, total, total, "progressive")) == n)
 
     elapsed = time.perf_counter() - started
     checks.append(elapsed < 5.0)

@@ -262,6 +262,23 @@ class TestBaseline:
         acc = report["tasks"][0]["final_accuracy"]
         assert 0.0 <= acc <= 100.0
 
+    def test_warnings_mirrored_to_stderr_and_report(self, tmp_path, capsys, recwarn):
+        features = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        src = DomainDataset(features, labels=[0, 0, 1])
+        tgt = DomainDataset(features[:, 1:], eval_labels=[0, 1], domain="target")
+        src_path, tgt_path = tmp_path / "s.txt", tmp_path / "t.txt"
+        save_features(src, src_path)
+        save_features(tgt, tgt_path)
+        report_path = tmp_path / "r.json"
+        code = main(["baseline-1nn", "--source", str(src_path), "--target", str(tgt_path),
+                     "--report", str(report_path)])
+        assert code == 0
+        message = "1 zero-norm column(s) left unnormalized"
+        assert json.loads(report_path.read_text())["tasks"][0]["warnings"] == [message]
+        err = capsys.readouterr().err
+        assert err.count(f"warning [{src_path} -> {tgt_path}]: {message}") == 1
+        assert len(recwarn) == 0
+
 
 class TestSynth:
     def test_files_loadable(self, pair_files):

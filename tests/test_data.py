@@ -3,7 +3,6 @@ import pytest
 
 from splda.data import (
     DomainDataset,
-    PseudoLabelSet,
     RunConfig,
     validate_pair,
 )
@@ -32,6 +31,10 @@ class TestDomainDataset:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one sample"):
             DomainDataset(np.empty((3, 0)))
+
+    def test_rejects_featureless(self):
+        with pytest.raises(ValueError, match="at least one feature"):
+            DomainDataset(np.empty((0, 3)), labels=[0, 1, 0])
 
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError, match="length-3"):
@@ -134,19 +137,3 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="selection"):
             RunConfig(pca_dim=10, subspace_dim=5, selection="topk")
 
-
-class TestPseudoLabelSet:
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError, match="unique"):
-            PseudoLabelSet([0, 0], [1, 2], [0.5, 0.5])
-
-    def test_rejects_confidence_out_of_range(self):
-        with pytest.raises(ValueError, match="within"):
-            PseudoLabelSet([0, 1], [1, 2], [0.5, 1.5])
-
-    def test_rejects_misaligned(self):
-        with pytest.raises(ValueError, match="aligned"):
-            PseudoLabelSet([0, 1], [1], [0.5])
-
-    def test_empty(self):
-        assert len(PseudoLabelSet.empty()) == 0

@@ -78,6 +78,19 @@ class TestLoadFeatures:
         with pytest.raises(ValueError, match="line 2.*label -1"):
             load_features(write(tmp_path, text))
 
+    def test_label_beyond_int64(self, tmp_path):
+        text = "# d=2 n=1 labeled=1\n99999999999999999999 1.0 2.0\n"
+        with pytest.raises(ValueError,
+                           match="line 2: label '99999999999999999999' is out of range"):
+            load_features(write(tmp_path, text))
+
+    @pytest.mark.parametrize("header", ["# d=0 n=2 labeled=1", "# d=2 n=0 labeled=1"],
+                             ids=["d=0", "n=0"])
+    def test_empty_header_names_line(self, tmp_path, header):
+        text = f"{header}\n0 1.0 2.0\n1 1.0 2.0\n"
+        with pytest.raises(ValueError, match=r"feats\.txt: line 1: header declares"):
+            load_features(write(tmp_path, text))
+
     def test_fractional_label(self, tmp_path):
         text = "# d=2 n=1 labeled=1\n0.5 1.0 2.0\n"
         with pytest.raises(ValueError, match="line 2.*not an integer"):
@@ -273,7 +286,7 @@ def feature_files(draw, mutate):
     elif mutation == "long":
         rows[i].append("1.0")
     elif mutation == "label":
-        bad = ["0.5", "x", "1_0", "-1" if labeled else "3"]
+        bad = ["0.5", "x", "1_0", "99999999999999999999", "-1" if labeled else "3"]
         rows[i][0] = draw(st.sampled_from(bad))
     elif mutation == "duplicate_header":
         extra = [header]

@@ -7,6 +7,7 @@ prediction path is allowed to read; it exists purely so metrics can be
 computed afterwards.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,7 +87,9 @@ class DomainDataset:
 class RunConfig:
     """Adaptation hyperparameters; echoed verbatim into results and reports.
 
-    No stage of a run is random, so a run takes no seed.
+    ``pca_dim``, ``subspace_dim`` and ``iterations`` must be integers (a
+    bool is not one) and are stored as Python ints. No stage of a run is
+    random, so a run takes no seed.
     """
 
     pca_dim: int
@@ -96,6 +99,16 @@ class RunConfig:
     selection: str = "progressive"
 
     def __post_init__(self):
+        for name in ("pca_dim", "subspace_dim", "iterations"):
+            value = getattr(self, name)
+            try:
+                count = operator.index(value)
+            except TypeError:
+                count = None
+            # bool is an int subclass; numpy's bool has no __index__
+            if count is None or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, count)
         if self.pca_dim < 1:
             raise ValueError(f"pca_dim must be positive, got {self.pca_dim}")
         if not 1 <= self.subspace_dim <= self.pca_dim:

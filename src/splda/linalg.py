@@ -126,6 +126,13 @@ def solve_assignment(c) -> np.ndarray:
     ``assignment[i]``. Uses the Hungarian method with dual potentials,
     O(n^3). Among equal-cost optima the lexicographically smallest
     assignment vector is returned.
+
+    Every optimum uses only admissible edges, those of zero reduced cost
+    under the optimal potentials. When the Hungarian matching is the only
+    perfect matching of the admissible graph, it is the only optimum and is
+    returned as it is. Otherwise the lexicographically smallest perfect
+    matching of the admissible graph is searched for, which costs repeated
+    feasibility checks on tie-heavy costs.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -143,6 +150,8 @@ def solve_assignment(c) -> np.ndarray:
     tol = 1e-9 * (1.0 + float(np.abs(c).max()))
     admissible = (c - u[:, None] - v[None, :]) <= tol
     admissible[np.arange(n), row_to_col] = True
+    if _only_perfect_matching(admissible, row_to_col):
+        return row_to_col
     return _lex_min_matching(admissible)
 
 
@@ -183,6 +192,24 @@ def _hungarian(cost: np.ndarray):
     for j in range(1, n + 1):
         row_to_col[match_row[j] - 1] = j - 1
     return row_to_col, u[1:], v[1:]
+
+
+def _only_perfect_matching(admissible: np.ndarray, row_to_col: np.ndarray) -> bool:
+    """Is ``row_to_col`` the only perfect matching of the admissible graph?
+
+    Another perfect matching exists exactly when an alternating cycle does:
+    row i takes the column of row k over an admissible unmatched edge, row k
+    that of the next row, and so on back to row i. The rows' transitive
+    closure under that step, by repeated squaring, shows any such cycle on
+    its diagonal.
+    """
+    n = admissible.shape[0]
+    step = admissible[:, row_to_col].astype(float)
+    np.fill_diagonal(step, 0.0)
+    reach = step
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach + reach @ reach, 1.0)
+    return not reach.diagonal().any()
 
 
 def _lex_min_matching(admissible: np.ndarray) -> np.ndarray:

@@ -118,17 +118,18 @@ class PreparedPair:
 def prepare(src: DomainDataset, tgt: DomainDataset, pca_dim: int) -> PreparedPair:
     """Validate a pair, fit PCA once on it and normalize both sides.
 
-    The pair's features are stacked into one pooled copy, which PCA centres
-    in place; each side is projected from its slice of that copy.
+    The pair's features are stacked into one pooled copy, which is handed
+    to PCA as its only reference: PCA centres it in place and, on the Gram
+    route, lets it go before its eigensolve. Each side is normalized from
+    its slice of the returned coordinates.
     """
     source_ids, target_truth, label_names = validate_pair(src, tgt)
-    x = np.hstack([src.features, tgt.features])
     ns = src.n_samples
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        components = pca_fit(x, pca_dim)
-        xs = l2_normalize_columns(components.T @ x[:, :ns])
-        xt = l2_normalize_columns(components.T @ x[:, ns:])
+        coords = pca_fit(np.hstack([src.features, tgt.features]), pca_dim)
+        xs = l2_normalize_columns(coords[:, :ns])
+        xt = l2_normalize_columns(coords[:, ns:])
     for a in (xs, xt, source_ids, target_truth):
         if a is not None:
             a.setflags(write=False)

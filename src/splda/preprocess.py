@@ -1,8 +1,10 @@
 """Dimensionality reduction, per-sample normalization and class sums.
 
-PCA is fit once on the pooled source+target matrix. Centering subtracts the
-mean from that matrix in place, and the eigendecomposition runs on whichever
-of the d x d scatter or the n x n Gram matrix is smaller.
+PCA is fit once on the pooled source+target matrix and returns the
+coordinates of its columns. Centering subtracts the mean from that matrix
+in place, and the eigendecomposition runs on whichever of the d x d scatter
+or the n x n Gram matrix is smaller. On the Gram route the coordinates are
+read off the Gram eigenvectors, so no d x k component matrix is formed.
 """
 
 import warnings
@@ -21,14 +23,23 @@ class RankTruncationWarning(UserWarning):
 
 
 def pca_fit(x: np.ndarray, n_components: int) -> np.ndarray:
-    """Principal directions of the pooled d x n float matrix ``x``.
+    """Leading principal coordinates of the columns of the pooled d x n matrix.
 
-    ``x`` is centred in place: on return it holds the pooled data minus its
-    column mean, so the caller projects with ``components.T @ x`` and no
-    second copy of the data is made. Returns the d x k matrix of orthonormal
-    components, the leading eigenvectors of the centred scatter matrix.
-    Requesting more components than the numerical rank truncates with a
-    warning; eigenvalues below 1e-12 of the largest are dropped.
+    ``x`` is centred in place. Returns the k x n matrix whose row i holds
+    the coordinates of every column on principal axis i; its rows are
+    orthogonal, with squared norms equal to the leading eigenvalues of the
+    centred scatter matrix, largest first. Requesting more components than
+    the numerical rank truncates with a warning; eigenvalues below 1e-12 of
+    the largest are dropped.
+
+    The eigendecomposition runs on the smaller of the d x d scatter and the
+    n x n Gram matrix. With scatter eigenvectors u_i the coordinates are
+    ``u_i^T x``. With Gram eigenvectors w_i and eigenvalues l_i they are
+    ``sqrt(l_i) * w_i^T``, since ``x^T u_i = x^T x w_i / sqrt(l_i)``; after
+    the Gram matrix is formed ``x`` is no longer read, so a caller that
+    passes its only reference lets it be freed before the eigensolve. Each
+    axis takes its sign from ``linalg.sym_eig``'s rule on the eigenvectors
+    of the route taken (largest-magnitude component positive).
     """
     from . import linalg  # here, so that normalization alone never loads scipy
 
@@ -41,9 +52,9 @@ def pca_fit(x: np.ndarray, n_components: int) -> np.ndarray:
     if d <= n:
         values, vectors = linalg.sym_eig(x @ x.T, n_components)
     else:
-        # Gram trick: eigenvectors w of X^T X map to scatter eigenvectors
-        # X w / sqrt(value), identical nonzero spectrum.
-        values, vectors = linalg.sym_eig(x.T @ x, n_components)
+        gram = x.T @ x
+        del x  # not read again on this route; see the docstring
+        values, vectors = linalg.sym_eig(gram, n_components)
     if values[0] <= 0.0:
         raise ValueError("pooled data has zero variance; PCA is undefined")
     keep = values > _RANK_CUTOFF * values[0]
@@ -56,8 +67,8 @@ def pca_fit(x: np.ndarray, n_components: int) -> np.ndarray:
         )
         values, vectors = values[keep], vectors[:, keep]
     if d > n:
-        vectors = linalg._canonical_signs(x @ (vectors / np.sqrt(values)))
-    return vectors
+        return np.sqrt(values)[:, None] * vectors.T
+    return vectors.T @ x
 
 
 def l2_normalize_columns(x) -> np.ndarray:

@@ -169,6 +169,44 @@ def reference_select(classes, confidences, iteration, total_iterations, mode):
     return np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=int)
 
 
+def reference_pca_components(x, n_components):
+    """d x k principal directions of the pooled d x n ``x``; the PCA oracle.
+
+    The component route ``pca_fit`` replaced: on the Gram route (d > n) the
+    Gram eigenvectors w are mapped to ``x w / sqrt(value)`` and given
+    ``sym_eig``'s sign rule in d dimensions. ``x`` is left as it is.
+    """
+    from splda import linalg
+
+    x = x - x.mean(axis=1, keepdims=True)
+    d, n = x.shape
+    if d <= n:
+        values, vectors = linalg.sym_eig(x @ x.T, n_components)
+    else:
+        values, vectors = linalg.sym_eig(x.T @ x, n_components)
+    keep = values > 1e-12 * values[0]
+    values, vectors = values[keep], vectors[:, keep]
+    if d > n:
+        vectors = linalg._canonical_signs(x @ (vectors / np.sqrt(values)))
+    return vectors
+
+
+def reference_pca_coordinates(x, n_components):
+    """k x n projections of the centred ``x`` on ``reference_pca_components``.
+
+    Rows are oriented by ``pca_fit``'s sign rule: on the scatter route the
+    components carry it; on the Gram route each row, being a multiple of a
+    Gram eigenvector, has its largest-magnitude entry positive.
+    """
+    from splda import linalg
+
+    coords = reference_pca_components(x, n_components).T @ (
+        x - x.mean(axis=1, keepdims=True))
+    if x.shape[0] > x.shape[1]:
+        coords = linalg._canonical_signs(coords.T).T
+    return coords
+
+
 def random_spd(rng, n, shift=None):
     g = rng.normal(size=(n, n))
     if shift is None:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,23 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="selection"):
             RunConfig(pca_dim=10, subspace_dim=5, selection="topk")
 
+    @pytest.mark.parametrize("field, value", [
+        ("pca_dim", 6.0), ("subspace_dim", 4.0), ("iterations", 2.5),
+        ("pca_dim", True), ("iterations", np.True_), ("subspace_dim", "4"),
+        ("iterations", None),
+    ], ids=["pca_dim-float", "subspace_dim-float", "iterations-float", "pca_dim-bool",
+            "iterations-numpy_bool", "subspace_dim-str", "iterations-None"])
+    def test_non_integers_rejected(self, field, value):
+        kwargs = dict(pca_dim=6, subspace_dim=4, iterations=2)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = RunConfig(pca_dim=np.int64(6), subspace_dim=np.int32(4),
+                        iterations=np.uint8(2))
+        assert all(type(v) is int for v in
+                   (cfg.pca_dim, cfg.subspace_dim, cfg.iterations))
+        assert json.dumps(cfg.to_dict()) == (
+            '{"pca_dim": 6, "subspace_dim": 4, "iterations": 2, '
+            '"labeling": "fused", "selection": "progressive"}')

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from splda import linalg
 from splda.linalg import NumericalError, gen_eig, solve_assignment, sym_eig
 
 from conftest import brute_force_assignment, random_spd
@@ -18,6 +19,17 @@ def charpoly_coeffs(a):
         m = a @ m + coeffs[k - 1] * np.eye(n)
         coeffs[k] = -np.trace(a @ m) / k
     return coeffs
+
+
+def lex_min_on_admissible_graph(cost):
+    """``_lex_min_matching`` on every zero-reduced-cost edge, unconditionally."""
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    row_to_col, u, v = linalg._hungarian(cost)
+    tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
+    admissible = (cost - u[:, None] - v[None, :]) <= tol
+    admissible[np.arange(n), row_to_col] = True
+    return linalg._lex_min_matching(admissible)
 
 
 def total_cost(cost, assignment):
@@ -246,3 +258,28 @@ class TestSolveAssignment:
         perm, _ = brute_force_assignment(cost)
         assert solve_assignment(cost).tolist() == perm.tolist()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6),
+           st.booleans())
+    def test_property_equals_refinement_on_admissible_graph(self, order, seed, ties):
+        rng = np.random.default_rng(seed)
+        if ties:
+            cost = rng.integers(0, 3, size=(order, order)).astype(float)
+        else:
+            cost = rng.uniform(0, 5, size=(order, order))
+        assert (solve_assignment(cost).tolist()
+                == lex_min_on_admissible_graph(cost).tolist())
+
+    def test_refinement_only_for_tied_optima(self, monkeypatch):
+        calls = []
+        real = linalg._lex_min_matching
+
+        def counting(admissible):
+            calls.append(1)
+            return real(admissible)
+
+        monkeypatch.setattr(linalg, "_lex_min_matching", counting)
+        solve_assignment(np.random.default_rng(5).uniform(0, 1, size=(6, 6)))
+        assert calls == []
+        assert solve_assignment(np.zeros((4, 4))).tolist() == [0, 1, 2, 3]
+        assert calls == [1]

@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from splda import pipeline
-from splda.data import DomainDataset, RunConfig
+from splda import linalg, pipeline
+from splda.data import LABELING_MODES, SELECTION_MODES, DomainDataset, RunConfig
 from splda.dataio import _nearest, evaluate, gen_synthetic
 from splda.pipeline import nn_baseline, prepare, run, run_ablation, run_prepared
-from splda.preprocess import ZeroVectorWarning, l2_normalize_columns, pca_fit
+from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
+
+from conftest import reference_pca_coordinates
 
 
 def easy_pair(seed=0, shift=0.0, separation=10.0):
@@ -182,17 +186,92 @@ class TestPrepare:
     def test_coordinates_match_centred_projection_oracle(self, per_class, dim):
         src, tgt = gen_synthetic(4, per_class, dim, shift_magnitude=2.0, seed=23)
         prepared = prepare(src, tgt, 6)
-        pooled = np.hstack([src.features, tgt.features])
-        mean = pooled.mean(axis=1)
-        components = pca_fit(pooled.copy(), 6)
-        for side, coords in ((src, prepared.source), (tgt, prepared.target)):
-            oracle = l2_normalize_columns(components.T @ (side.features - mean[:, None]))
-            assert np.abs(coords - oracle).max() <= 1e-12
+        oracle = reference_pca_coordinates(np.hstack([src.features, tgt.features]), 6)
+        ns = src.n_samples
+        for coords, rows in ((prepared.source, oracle[:, :ns]),
+                             (prepared.target, oracle[:, ns:])):
+            assert np.abs(coords - l2_normalize_columns(rows)).max() <= 1e-12
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a caller's stack holds call arguments "
+                               "until the call returns")
+    def test_pooled_copy_freed_before_gram_eigensolve(self, monkeypatch):
+        # d > n: PCA takes the Gram route and needs only the n x n Gram matrix
+        src, tgt = gen_synthetic(4, 10, 3000, shift_magnitude=2.0, seed=24)
+        d, n = src.dim, src.n_samples + tgt.n_samples
+        live = []
+        real = linalg.sym_eig
+
+        def measured(m, k):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return real(m, k)
+
+        monkeypatch.setattr(linalg, "sym_eig", measured)
+        tracemalloc.start()
+        try:
+            # the raw features were allocated before tracing began
+            prepare(src, tgt, 6)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 1
+        assert live[0] < n * n * 8 + d * n * 8, (live[0], n * n * 8, d * n * 8)
 
     def test_config_must_match_prepared_pca_dim(self):
         src, tgt = easy_pair(seed=19)
         with pytest.raises(ValueError, match="pca_dim"):
             run_prepared(prepare(src, tgt, 10), easy_config())
+
+
+@st.composite
+def any_pair(draw):
+    """A pair the file format allows, with the degeneracies it permits.
+
+    C in 1..8 with 1..5 source samples each, 1..20 targets, width 1..12,
+    rank up to the width, duplicated samples, constant features, scales
+    from 1e-150 to 1e150 and arbitrary nonnegative ids, plus a config in
+    every labeling and selection mode.
+    """
+    n_classes = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=n_classes, max_size=n_classes))
+    n_target = draw(st.integers(1, 20))
+    width = draw(st.integers(1, 12))
+    rank = draw(st.integers(1, width))
+    n_constant = draw(st.integers(0, width))
+    n_duplicates = draw(st.integers(0, 4))
+    scale = 10.0 ** draw(st.sampled_from([-150, -20, 0, 20, 150]))
+    ids = np.array(draw(st.lists(st.integers(0, 2**62), min_size=n_classes,
+                                 max_size=n_classes, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_source = sum(sizes)
+    n = n_source + n_target
+    x = rng.normal(size=(width, rank)) @ rng.normal(size=(rank, n))
+    x[:n_constant] = rng.normal(size=(n_constant, 1))
+    for _ in range(n_duplicates):
+        x[:, rng.integers(n)] = x[:, rng.integers(n)]
+    x *= scale
+    labels = ids[np.repeat(np.arange(n_classes), sizes)]
+    pca_dim = draw(st.integers(1, width))
+    config = RunConfig(pca_dim=pca_dim,
+                       subspace_dim=draw(st.integers(1, pca_dim)),
+                       iterations=draw(st.integers(1, 3)),
+                       labeling=draw(st.sampled_from(LABELING_MODES)),
+                       selection=draw(st.sampled_from(SELECTION_MODES)))
+    return (DomainDataset(x[:, :n_source], labels=labels),
+            DomainDataset(x[:, n_source:], domain="target"), config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_pair())
+def test_any_allowed_pair_predicts_or_fails_clearly(pair):
+    src, tgt, config = pair
+    try:
+        first = run(src, tgt, config)
+    except (ValueError, linalg.NumericalError) as exc:
+        assert str(exc)
+        return
+    assert first.predictions.shape == (tgt.n_samples,)
+    assert np.isin(first.predictions, src.labels).all()
+    np.testing.assert_array_equal(run(src, tgt, config).predictions, first.predictions)
 
 
 class TestRunAblation:

@@ -9,6 +9,8 @@ from splda.preprocess import (
     pca_fit,
 )
 
+from conftest import reference_pca_components, reference_pca_coordinates
+
 
 def scatter_add_class_sums(x, ids, n_classes):
     """One np.add.at per column, the scatter-add definition."""
@@ -24,6 +26,10 @@ def explicit_scatter(x):
     return x @ h @ x.T
 
 
+def top_scatter_eigenvalues(x, k):
+    return np.sort(np.linalg.eigvalsh(explicit_scatter(x)))[::-1][:k]
+
+
 class TestPcaFit:
     def test_rank_one_line(self):
         direction = np.array([1.0, 2.0, -2.0]) / 3.0
@@ -31,10 +37,12 @@ class TestPcaFit:
         x = np.outer(direction, t) + np.array([[5.0], [1.0], [0.0]])
         with pytest.warns(RankTruncationWarning):
             # rank is 1, so asking for 1 component is fine but probe 2
-            components2 = pca_fit(x.copy(), 2)
-        assert components2.shape[1] == 1
-        components = pca_fit(x.copy(), 1)
-        assert abs(components[:, 0] @ direction) == pytest.approx(1.0, abs=1e-10)
+            coords2 = pca_fit(x.copy(), 2)
+        assert coords2.shape == (1, t.size)
+        coords = pca_fit(x.copy(), 1)
+        along = direction @ (x - x.mean(axis=1, keepdims=True))
+        sign = np.sign(coords[0] @ along)
+        np.testing.assert_allclose(coords[0], sign * along, atol=1e-10)
 
     def test_scatter_equals_n_times_biased_covariance(self, rng):
         x = rng.normal(size=(6, 40))
@@ -49,38 +57,51 @@ class TestPcaFit:
         expected_top5_sum = 1348.3417156070
         rng = np.random.default_rng(3)
         x = rng.normal(size=(10, 50)) * rng.uniform(0.5, 3.0, size=(10, 1))
-        scatter = explicit_scatter(x)
-        oracle = np.sort(np.linalg.eigvalsh(scatter))[::-1][:5].sum()
+        oracle = top_scatter_eigenvalues(x, 5).sum()
         assert oracle == pytest.approx(expected_top5_sum, abs=1e-6)
-        components = pca_fit(x.copy(), 5)
-        projected = components.T @ (x - x.mean(axis=1, keepdims=True))
-        assert (projected * projected).sum() == pytest.approx(expected_top5_sum, rel=1e-10)
+        coords = pca_fit(x.copy(), 5)
+        assert (coords * coords).sum() == pytest.approx(expected_top5_sum, rel=1e-10)
 
-    def test_orthonormal_components(self, rng):
-        x = rng.normal(size=(8, 30))
-        components = pca_fit(x, 6)
-        gram = components.T @ components
-        assert np.abs(gram - np.eye(6)).max() <= 1e-8
+    def test_rows_orthogonal_with_eigenvalue_norms(self, rng):
+        # (8, 30) takes the scatter route, (30, 8) the Gram route
+        for shape in ((8, 30), (30, 8)):
+            x = rng.normal(size=shape)
+            values = top_scatter_eigenvalues(x, 6)
+            coords = pca_fit(x.copy(), 6)
+            assert coords.shape == (6, shape[1])
+            gram = coords @ coords.T
+            assert np.abs(gram - np.diag(values)).max() <= 1e-10 * values[0]
 
     def test_projected_variance_monotone_in_dim(self, rng):
         x = rng.normal(size=(7, 25))
-        centered = x - x.mean(axis=1, keepdims=True)
         variances = []
         for k in range(1, 8):
-            proj = pca_fit(x.copy(), k).T @ centered
-            variances.append((proj * proj).sum())
+            coords = pca_fit(x.copy(), k)
+            variances.append((coords * coords).sum())
         assert np.all(np.diff(variances) >= -1e-9)
 
     def test_gram_path_matches_scatter_path(self, rng):
-        # more dimensions than samples forces the n x n route
+        # more dimensions than samples forces the n x n route; the oracle
+        # projects on the eigenvectors of the explicit d x d scatter
         x = rng.normal(size=(40, 12))
-        components = pca_fit(x.copy(), 4)
-        scatter = explicit_scatter(x)
-        oracle_vals = np.sort(np.linalg.eigvalsh(scatter))[::-1][:4]
-        proj = components.T @ (x - x.mean(axis=1, keepdims=True))
-        np.testing.assert_allclose((proj * proj).sum(axis=1), oracle_vals, rtol=1e-8)
-        gram = components.T @ components
-        assert np.abs(gram - np.eye(4)).max() <= 1e-8
+        coords = pca_fit(x.copy(), 4)
+        _, vectors = np.linalg.eigh(explicit_scatter(x))
+        oracle = vectors[:, ::-1][:, :4].T @ (x - x.mean(axis=1, keepdims=True))
+        signs = np.sign((coords * oracle).sum(axis=1))
+        np.testing.assert_allclose(coords, signs[:, None] * oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(9, 30), (30, 9)], ids=["scatter", "gram"])
+    def test_matches_reference_components_oracle(self, rng, shape):
+        x = rng.normal(size=shape) + 2.0
+        oracle = reference_pca_coordinates(x, 5)
+        coords = pca_fit(x.copy(), 5)
+        assert np.abs(coords - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    def test_gram_rows_lead_with_a_positive_entry(self, rng):
+        # the Gram route's sign rule, read off the returned rows
+        coords = pca_fit(rng.normal(size=(30, 9)), 5)
+        lead = coords[np.arange(5), np.argmax(np.abs(coords), axis=1)]
+        assert (lead > 0).all()
 
     def test_rejects_out_of_range_dim(self, rng):
         x = rng.normal(size=(5, 10))
@@ -100,9 +121,12 @@ class TestPcaFit:
         np.testing.assert_array_equal(x, oracle)
 
     def test_reconstruction_residual_orthogonal(self, rng):
+        # scatter route: the coordinates reconstruct the data along the
+        # oracle's axes, leaving a residual orthogonal to them
         x = rng.normal(size=(9, 30))
-        components = pca_fit(x, 4)
-        residual = x - components @ (components.T @ x)
+        components = reference_pca_components(x, 4)
+        coords = pca_fit(x.copy(), 4)
+        residual = x - x.mean(axis=1, keepdims=True) - components @ coords
         assert np.abs(components.T @ residual).max() <= 1e-8
 
 

@@ -22,6 +22,21 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return a
 
 
+def as_count(name: str, value) -> int:
+    """``value`` as a Python int; a bool or a non-integer is a ValueError.
+
+    numpy integers are accepted. The error names ``name``.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    # bool is an int subclass; numpy's bool has no __index__
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return count
+
+
 def _check_label_vector(labels, n: int, channel: str) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
@@ -100,15 +115,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("pca_dim", "subspace_dim", "iterations"):
-            value = getattr(self, name)
-            try:
-                count = operator.index(value)
-            except TypeError:
-                count = None
-            # bool is an int subclass; numpy's bool has no __index__
-            if count is None or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.pca_dim < 1:
             raise ValueError(f"pca_dim must be positive, got {self.pca_dim}")
         if not 1 <= self.subspace_dim <= self.pca_dim:

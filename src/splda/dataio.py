@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .data import DomainDataset, validate_pair
-from .preprocess import l2_normalize_columns
+from .preprocess import l2_normalize_columns, unit_columns, warn_zero_columns
 
 # Tokens in a line are separated by runs of space, \t, \v and \f; lines end
 # at \n, \r\n or \r (read as \n). Other control bytes, \x1c-\x1f among them,
@@ -29,6 +29,9 @@ _HEADER_RE = re.compile(
 
 # The largest label the int label vector holds.
 _LABEL_MAX = np.iinfo(int).max
+
+# Targets the 1NN baseline normalizes and scores at a time.
+_NN_BLOCK = 256
 
 # Class blobs are unit-variance Gaussians; target samples get a rotation of
 # this many radians per unit of shift, so zero shift means identical domains.
@@ -274,6 +277,23 @@ def _nearest(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.argmin(scores, axis=1)
 
 
+def _nearest_by_blocks(s: np.ndarray, x: np.ndarray):
+    """``(nearest, zeros)``: :func:`_nearest` of ``s`` and the L2-normalized
+    columns of ``x``, and the number of zero columns of ``x``.
+
+    ``x`` is normalized and scored ``_NN_BLOCK`` columns at a time, so a
+    normalized block and a block x n_source score matrix are held, not a
+    normalized copy of ``x`` and its whole score matrix.
+    """
+    nearest = np.empty(x.shape[1], dtype=np.intp)
+    zeros = 0
+    for lo in range(0, x.shape[1], _NN_BLOCK):
+        t, block_zeros = unit_columns(x[:, lo:lo + _NN_BLOCK])
+        nearest[lo:lo + _NN_BLOCK] = _nearest(s, t)
+        zeros += block_zeros
+    return nearest, zeros
+
+
 def nn_baseline(src: DomainDataset, tgt: DomainDataset) -> float:
     """Accuracy of 1-nearest-neighbor on L2-normalized raw features.
 
@@ -284,5 +304,6 @@ def nn_baseline(src: DomainDataset, tgt: DomainDataset) -> float:
     if target_truth is None:
         raise ValueError("1NN baseline needs target ground truth in eval_labels")
     s = l2_normalize_columns(src.features)
-    t = l2_normalize_columns(tgt.features)
-    return evaluate(source_ids[_nearest(s, t)], target_truth)
+    nearest, zeros = _nearest_by_blocks(s, tgt.features)
+    warn_zero_columns(zeros)
+    return evaluate(source_ids[nearest], target_truth)

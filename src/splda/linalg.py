@@ -18,6 +18,8 @@ import numpy as np
 import scipy.linalg
 
 _SYM_TOL = 1e-10
+# Rows per block when measuring asymmetry.
+_BLOCK = 256
 # gen_eig solves for the top k pairs only when k is at most n / 8; above
 # that the partial solver is no faster than the full spectrum.
 _PARTIAL_SPECTRUM_RATIO = 8
@@ -34,12 +36,22 @@ def _checked_symmetric(m, name: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     scale = max(1.0, float(m.max()), -float(m.min()))
-    diff = m - m.T
-    asym = float(np.abs(diff, out=diff).max())
+    asym = _max_asymmetry(m)
     if asym > _SYM_TOL * scale:
         raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
     # an exactly symmetric m equals 0.5 * (m + m.T) bit for bit
     return m if asym == 0.0 else 0.5 * (m + m.T)
+
+
+def _max_asymmetry(m: np.ndarray) -> float:
+    """``max |m - m.T|``, over the upper triangle a block of rows at a time."""
+    n = m.shape[0]
+    asym = 0.0
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        diff = m[lo:hi, lo:] - m[lo:, lo:hi].T
+        asym = max(asym, float(np.abs(diff, out=diff).max()))
+    return asym
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .data import (
     LABELING_MODES,
     RunConfig,
     SELECTION_MODES,
+    as_count,
     validate_pair,
 )
 from .dataio import evaluate, nn_baseline  # noqa: F401 - nn_baseline is re-exported
@@ -118,16 +119,17 @@ class PreparedPair:
 def prepare(src: DomainDataset, tgt: DomainDataset, pca_dim: int) -> PreparedPair:
     """Validate a pair, fit PCA once on it and normalize both sides.
 
-    The pair's features are stacked into one pooled copy, which is handed
-    to PCA as its only reference: PCA centres it in place and, on the Gram
-    route, lets it go before its eigensolve. Each side is normalized from
-    its slice of the returned coordinates.
+    ``pca_dim`` must be an integer, as in :class:`RunConfig`, and is stored
+    as a Python int. PCA reads the two sides' features in place, so no
+    pooled copy of them is made. Each side is normalized from its slice of
+    the returned coordinates.
     """
+    pca_dim = as_count("pca_dim", pca_dim)
     source_ids, target_truth, label_names = validate_pair(src, tgt)
     ns = src.n_samples
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coords = pca_fit(np.hstack([src.features, tgt.features]), pca_dim)
+        coords = pca_fit((src.features, tgt.features), pca_dim)
         xs = l2_normalize_columns(coords[:, :ns])
         xt = l2_normalize_columns(coords[:, ns:])
     for a in (xs, xt, source_ids, target_truth):
@@ -163,14 +165,15 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
     truth = prepared.target_truth
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pooled = np.hstack([xs, xt])
+        # the embedding mean is the projection of the pooled columns' mean
+        mean = (xs.sum(axis=1) + xt.sum(axis=1)) / (xs.shape[1] + xt.shape[1])
         subspace_dim = min(config.subspace_dim, xs.shape[0])
 
         def fit(chosen: np.ndarray, classes: np.ndarray) -> SlppModel:
             # the source columns plus the chosen targets under their pseudo-labels
             labeled = np.hstack([xs, xt[:, chosen]])
             lab = np.concatenate([ys, classes[chosen]])
-            return slpp_fit(labeled, lab, subspace_dim, all_data=pooled)
+            return slpp_fit(labeled, lab, subspace_dim, mean=mean)
 
         def label_all(model: SlppModel):
             zs = embed(model, xs)

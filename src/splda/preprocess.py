@@ -1,10 +1,13 @@
 """Dimensionality reduction, per-sample normalization and class sums.
 
-PCA is fit once on the pooled source+target matrix and returns the
-coordinates of its columns. Centering subtracts the mean from that matrix
-in place, and the eigendecomposition runs on whichever of the d x d scatter
-or the n x n Gram matrix is smaller. On the Gram route the coordinates are
-read off the Gram eigenvectors, so no d x k component matrix is formed.
+PCA is fit once on the pooled columns of the source and target matrices,
+which it reads and never writes, and returns the coordinates of every
+column. The eigendecomposition runs on whichever of the d x d scatter or
+the n x n Gram matrix of the centred pooled data is smaller. That matrix is
+summed from centred blocks of at most ``_BLOCK`` columns or rows, so no
+pooled or centred d x n copy is ever made. On the Gram route the
+coordinates are read off the Gram eigenvectors, so no d x k component
+matrix is formed.
 """
 
 import warnings
@@ -12,6 +15,8 @@ import warnings
 import numpy as np
 
 _RANK_CUTOFF = 1e-12
+# Columns (scatter route) or rows (Gram route) per centred block.
+_BLOCK = 256
 
 
 class ZeroVectorWarning(UserWarning):
@@ -22,39 +27,46 @@ class RankTruncationWarning(UserWarning):
     """More components were requested than the data's numerical rank."""
 
 
-def pca_fit(x: np.ndarray, n_components: int) -> np.ndarray:
-    """Leading principal coordinates of the columns of the pooled d x n matrix.
+def pca_fit(parts, n_components: int) -> np.ndarray:
+    """Leading principal coordinates of the pooled columns of ``parts``.
 
-    ``x`` is centred in place. Returns the k x n matrix whose row i holds
-    the coordinates of every column on principal axis i; its rows are
-    orthogonal, with squared norms equal to the leading eigenvalues of the
-    centred scatter matrix, largest first. Requesting more components than
-    the numerical rank truncates with a warning; eigenvalues below 1e-12 of
-    the largest are dropped.
+    ``parts`` is a sequence of d x n_i matrices, such as the source and the
+    target features, whose columns are pooled in order; they are read and
+    never written. Returns the k x n matrix (n the total column count) whose
+    row i holds the coordinates of every pooled column on principal axis i;
+    its rows are orthogonal, with squared norms equal to the leading
+    eigenvalues of the centred scatter matrix, largest first. Requesting
+    more components than the numerical rank truncates with a warning;
+    eigenvalues below 1e-12 of the largest are dropped.
 
     The eigendecomposition runs on the smaller of the d x d scatter and the
-    n x n Gram matrix. With scatter eigenvectors u_i the coordinates are
-    ``u_i^T x``. With Gram eigenvectors w_i and eigenvalues l_i they are
-    ``sqrt(l_i) * w_i^T``, since ``x^T u_i = x^T x w_i / sqrt(l_i)``; after
-    the Gram matrix is formed ``x`` is no longer read, so a caller that
-    passes its only reference lets it be freed before the eigensolve. Each
-    axis takes its sign from ``linalg.sym_eig``'s rule on the eigenvectors
-    of the route taken (largest-magnitude component positive).
+    n x n Gram matrix of the centred pooled data, each summed into one
+    buffer from centred blocks of at most 256 columns or rows. With scatter
+    eigenvectors u_i the coordinates of a column p are
+    ``u_i^T p - u_i^T mean``, one product per part. With Gram eigenvectors
+    w_i and eigenvalues l_i they are ``sqrt(l_i) * w_i^T``, since
+    ``x^T u_i = x^T x w_i / sqrt(l_i)`` for the centred pooled x. Each axis
+    takes its sign from ``linalg.sym_eig``'s rule on the eigenvectors of the
+    route taken (largest-magnitude component positive).
     """
     from . import linalg  # here, so that normalization alone never loads scipy
 
-    d, n = x.shape
+    parts = [np.asarray(p, dtype=float) for p in parts]
+    if not parts or any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ValueError("parts must be 2-D matrices with the same row count")
+    d = parts[0].shape[0]
+    n = sum(p.shape[1] for p in parts)
     if not 1 <= n_components <= min(d, n):
         raise ValueError(
             f"n_components must be in 1..min(d={d}, n={n}), got {n_components}"
         )
-    x -= x.mean(axis=1)[:, None]
+    mean = sum(p.sum(axis=1) for p in parts) / n
     if d <= n:
-        values, vectors = linalg.sym_eig(x @ x.T, n_components)
+        blocks = _centred_column_blocks(parts, mean)
     else:
-        gram = x.T @ x
-        del x  # not read again on this route; see the docstring
-        values, vectors = linalg.sym_eig(gram, n_components)
+        blocks = _centred_row_blocks(parts, mean, n)
+    values, vectors = linalg.sym_eig(_symmetric_sum(blocks, min(d, n), rows=d > n),
+                                     n_components)
     if values[0] <= 0.0:
         raise ValueError("pooled data has zero variance; PCA is undefined")
     keep = values > _RANK_CUTOFF * values[0]
@@ -68,7 +80,72 @@ def pca_fit(x: np.ndarray, n_components: int) -> np.ndarray:
         values, vectors = values[keep], vectors[:, keep]
     if d > n:
         return np.sqrt(values)[:, None] * vectors.T
-    return vectors.T @ x
+    # written in place, so no k x n_i product is held beside the result
+    coords = np.empty((values.size, n))
+    start = 0
+    for part in parts:
+        stop = start + part.shape[1]
+        np.matmul(vectors.T, part, out=coords[:, start:stop])
+        start = stop
+    coords -= (vectors.T @ mean)[:, None]
+    return coords
+
+
+def _centred_column_blocks(parts, mean):
+    """Yield at most ``_BLOCK`` columns at a time of the centred pooled d x n matrix.
+
+    Each block is a C-ordered d x b matrix in one reused buffer.
+    """
+    d = mean.size
+    buffer = np.empty(d * _BLOCK)
+    for part in parts:
+        for lo in range(0, part.shape[1], _BLOCK):
+            hi = min(lo + _BLOCK, part.shape[1])
+            block = buffer[:d * (hi - lo)].reshape(d, hi - lo)
+            np.subtract(part[:, lo:hi], mean[:, None], out=block)
+            yield block
+
+
+def _centred_row_blocks(parts, mean, n: int):
+    """Yield at most ``_BLOCK`` rows at a time of the centred pooled d x n matrix.
+
+    Each block is a C-ordered b x n matrix in one reused buffer.
+    """
+    d = mean.size
+    buffer = np.empty(_BLOCK * n)
+    for lo in range(0, d, _BLOCK):
+        hi = min(lo + _BLOCK, d)
+        block = buffer[:(hi - lo) * n].reshape(hi - lo, n)
+        start = 0
+        for part in parts:
+            stop = start + part.shape[1]
+            np.subtract(part[lo:hi], mean[lo:hi, None], out=block[:, start:stop])
+            start = stop
+        yield block
+
+
+def _symmetric_sum(blocks, order: int, rows: bool) -> np.ndarray:
+    """Sum of ``b^T b`` (``rows``) or ``b b^T`` over C-ordered blocks ``b``.
+
+    Each block is added by one symmetric rank-k update (BLAS ``syrk``) into
+    the lower triangle of a single order x order buffer, which is then
+    mirrored, so the sum is exactly symmetric and no per-block
+    order x order product is formed.
+    """
+    from scipy.linalg.blas import dsyrk
+
+    total = np.zeros((order, order))
+    for block in blocks:
+        # BLAS takes the transposes, which are Fortran-ordered views, without
+        # a copy; its upper triangle of total.T is total's lower triangle
+        total = dsyrk(1.0, block.T, beta=1.0, c=total.T, trans=0 if rows else 1,
+                      overwrite_c=1).T
+    for lo in range(0, order, _BLOCK):
+        hi = min(lo + _BLOCK, order)
+        for i in range(lo, hi - 1):
+            total[i, i + 1:hi] = total[i + 1:hi, i]
+        total[lo:hi, hi:] = total[hi:, lo:hi].T
+    return total
 
 
 def l2_normalize_columns(x) -> np.ndarray:
@@ -77,15 +154,26 @@ def l2_normalize_columns(x) -> np.ndarray:
     Zero columns are returned unchanged; a ZeroVectorWarning carries how many
     were seen.
     """
+    unit, zeros = unit_columns(x)
+    warn_zero_columns(zeros)
+    return unit
+
+
+def unit_columns(x):
+    """``(unit, zeros)``: ``x`` with every nonzero column scaled to unit
+    Euclidean norm, and the number of zero columns, which stay unchanged.
+    """
     x = np.asarray(x, dtype=float)
     norms = np.linalg.norm(x, axis=0)
     zero = norms == 0.0
-    if zero.any():
-        warnings.warn(
-            f"{int(zero.sum())} zero-norm column(s) left unnormalized",
-            ZeroVectorWarning,
-        )
-    return x / np.where(zero, 1.0, norms)
+    return x / np.where(zero, 1.0, norms), int(zero.sum())
+
+
+def warn_zero_columns(zeros: int) -> None:
+    """Raise the ZeroVectorWarning for ``zeros`` unnormalized columns, if any."""
+    if zeros:
+        warnings.warn(f"{zeros} zero-norm column(s) left unnormalized",
+                      ZeroVectorWarning)
 
 
 def class_sums(x, ids, n_classes: int) -> np.ndarray:

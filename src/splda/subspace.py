@@ -46,15 +46,15 @@ def _pencil(x: np.ndarray, labels: np.ndarray):
     return a, b
 
 
-def slpp_fit(labeled_data, labels, n_components: int, all_data=None) -> SlppModel:
+def slpp_fit(labeled_data, labels, n_components: int, mean=None) -> SlppModel:
     """Fit the projection on labeled columns (source plus selected targets).
 
     Solves ``X D X^T p = value (X L X^T + I) p`` for the top eigenvectors,
     where D and L are the degree matrix and Laplacian of the graph that
     links samples with equal labels. Labels may be any integers; only their
-    equality matters. ``all_data`` supplies the full source+target matrix
-    over which the embedding mean is taken; it defaults to the labeled
-    columns.
+    equality matters. ``mean`` is the d-vector mean of the full
+    source+target data, and the embedding mean is its projection; it
+    defaults to the mean of the labeled columns.
     """
     x = np.asarray(labeled_data, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -66,12 +66,10 @@ def slpp_fit(labeled_data, labels, n_components: int, all_data=None) -> SlppMode
     if not 1 <= n_components <= d:
         raise ValueError(f"n_components must be in 1..{d}, got {n_components}")
     _, projection = linalg.gen_eig(*_pencil(x, labels), n_components)
-    reference = x if all_data is None else np.asarray(all_data, dtype=float)
-    if reference.shape[0] != d:
-        raise ValueError(
-            f"all_data row count {reference.shape[0]} does not match d={d}"
-        )
-    embedding_mean = (projection.T @ reference).mean(axis=1)
+    mean = x.mean(axis=1) if mean is None else np.asarray(mean, dtype=float)
+    if mean.shape != (d,):
+        raise ValueError(f"mean must be a length-{d} vector, got shape {mean.shape}")
+    embedding_mean = projection.T @ mean
     return SlppModel(projection=projection, embedding_mean=embedding_mean)
 
 

@@ -1,6 +1,6 @@
 import json
-import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from splda import linalg, pipeline
+from splda import dataio, linalg, pipeline
 from splda.data import LABELING_MODES, SELECTION_MODES, DomainDataset, RunConfig
-from splda.dataio import _nearest, evaluate, gen_synthetic
+from splda.dataio import _nearest, _nearest_by_blocks, evaluate, gen_synthetic
 from splda.pipeline import nn_baseline, prepare, run, run_ablation, run_prepared
 from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
 
@@ -192,29 +192,46 @@ class TestPrepare:
                              (prepared.target, oracle[:, ns:])):
             assert np.abs(coords - l2_normalize_columns(rows)).max() <= 1e-12
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="before 3.11 a caller's stack holds call arguments "
-                               "until the call returns")
-    def test_pooled_copy_freed_before_gram_eigensolve(self, monkeypatch):
-        # d > n: PCA takes the Gram route and needs only the n x n Gram matrix
-        src, tgt = gen_synthetic(4, 10, 3000, shift_magnitude=2.0, seed=24)
-        d, n = src.dim, src.n_samples + tgt.n_samples
-        live = []
-        real = linalg.sym_eig
-
-        def measured(m, k):
-            live.append(tracemalloc.get_traced_memory()[0])
-            return real(m, k)
-
-        monkeypatch.setattr(linalg, "sym_eig", measured)
+    @pytest.mark.parametrize("per_class, dim", [(400, 60), (10, 3000)],
+                             ids=["scatter", "gram"])
+    def test_traced_peak_holds_no_pooled_copy(self, per_class, dim):
+        # PCA's matrix (60 x 60 or 80 x 80), its centred blocks, the 6 x n
+        # coordinates and their normalized copies stay below half of a pooled
+        # d x n copy (1.5 or 1.9 MB), which the peak would otherwise include
+        src, tgt = gen_synthetic(4, per_class, dim, shift_magnitude=2.0, seed=24)
+        pooled_bytes = src.dim * (src.n_samples + tgt.n_samples) * 8
         tracemalloc.start()
         try:
             # the raw features were allocated before tracing began
             prepare(src, tgt, 6)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(live) == 1
-        assert live[0] < n * n * 8 + d * n * 8, (live[0], n * n * 8, d * n * 8)
+        assert peak < pooled_bytes / 2, (peak, pooled_bytes)
+
+    @pytest.mark.parametrize("pca_dim", [6.0, True, "6", None])
+    def test_rejects_non_integer_pca_dim_before_any_work(self, monkeypatch, pca_dim):
+        src, tgt = easy_pair(seed=25)
+        calls = count_calls(monkeypatch, pipeline, "validate_pair")
+        with pytest.raises(ValueError, match="pca_dim must be an integer"):
+            prepare(src, tgt, pca_dim)
+        assert calls == []
+
+    def test_numpy_integer_pca_dim_stored_as_int(self):
+        src, tgt = easy_pair(seed=25)
+        prepared = prepare(src, tgt, np.int64(4))
+        assert type(prepared.pca_dim) is int and prepared.pca_dim == 4
+        run_prepared(prepared, easy_config(pca_dim=4, subspace_dim=4, iterations=1))
+
+    @pytest.mark.parametrize("per_class, dim", [(25, 12), (3, 40)], ids=["scatter", "gram"])
+    def test_embedding_mean_is_mean_of_pooled_projections(self, per_class, dim):
+        src, tgt = gen_synthetic(4, per_class, dim, shift_magnitude=2.0, seed=26)
+        prepared = prepare(src, tgt, 6)
+        model = run_prepared(prepared, easy_config(pca_dim=6, subspace_dim=4,
+                                                   iterations=2)).model
+        pooled = np.hstack([prepared.source, prepared.target])
+        oracle = (model.projection.T @ pooled).mean(axis=1)
+        assert np.abs(model.embedding_mean - oracle).max() <= 1e-14
 
     def test_config_must_match_prepared_pca_dim(self):
         src, tgt = easy_pair(seed=19)
@@ -339,6 +356,28 @@ class TestNnBaseline:
         with pytest.warns(ZeroVectorWarning):
             accuracy = nn_baseline(zeroed_src, zeroed_tgt)
         assert accuracy == evaluate(src.labels[nearest], tgt.eval_labels)
+
+    @pytest.mark.parametrize("block", [1, 7, 10**9])
+    def test_blocks_equal_one_product(self, monkeypatch, block):
+        rng = np.random.default_rng(27)
+        xs, xt = rng.normal(size=(9, 40)), rng.normal(size=(9, 30))
+        xs[:, 4] = 0.0
+        xt[:, [0, 13, 29]] = 0.0
+        with pytest.warns(ZeroVectorWarning):
+            s, t = l2_normalize_columns(xs), l2_normalize_columns(xt)
+        monkeypatch.setattr(dataio, "_NN_BLOCK", block)
+        nearest, zeros = _nearest_by_blocks(s, xt)
+        np.testing.assert_array_equal(nearest, _nearest(s, t))
+        assert zeros == 3
+        src = DomainDataset(xs, labels=rng.integers(0, 3, size=40))
+        tgt = DomainDataset(xt, eval_labels=rng.integers(0, 3, size=30), domain="target")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            accuracy = nn_baseline(src, tgt)
+        assert accuracy == evaluate(src.labels[_nearest(s, t)], tgt.eval_labels)
+        assert [str(w.message) for w in caught] == [
+            "1 zero-norm column(s) left unnormalized",
+            "3 zero-norm column(s) left unnormalized"]
 
     def test_target_copy_of_source_is_perfect(self):
         src, _ = easy_pair(seed=13)

@@ -30,6 +30,15 @@ def top_scatter_eigenvalues(x, k):
     return np.sort(np.linalg.eigvalsh(explicit_scatter(x)))[::-1][:k]
 
 
+def parts_of(x, cuts=None):
+    """Read-only column blocks of ``x`` split at ``cuts`` (default: one third)."""
+    cuts = [x.shape[1] // 3] if cuts is None else cuts
+    parts = tuple(np.array(p) for p in np.split(x, cuts, axis=1))
+    for p in parts:
+        p.setflags(write=False)
+    return parts
+
+
 class TestPcaFit:
     def test_rank_one_line(self):
         direction = np.array([1.0, 2.0, -2.0]) / 3.0
@@ -37,9 +46,9 @@ class TestPcaFit:
         x = np.outer(direction, t) + np.array([[5.0], [1.0], [0.0]])
         with pytest.warns(RankTruncationWarning):
             # rank is 1, so asking for 1 component is fine but probe 2
-            coords2 = pca_fit(x.copy(), 2)
+            coords2 = pca_fit(parts_of(x), 2)
         assert coords2.shape == (1, t.size)
-        coords = pca_fit(x.copy(), 1)
+        coords = pca_fit(parts_of(x), 1)
         along = direction @ (x - x.mean(axis=1, keepdims=True))
         sign = np.sign(coords[0] @ along)
         np.testing.assert_allclose(coords[0], sign * along, atol=1e-10)
@@ -59,7 +68,7 @@ class TestPcaFit:
         x = rng.normal(size=(10, 50)) * rng.uniform(0.5, 3.0, size=(10, 1))
         oracle = top_scatter_eigenvalues(x, 5).sum()
         assert oracle == pytest.approx(expected_top5_sum, abs=1e-6)
-        coords = pca_fit(x.copy(), 5)
+        coords = pca_fit(parts_of(x), 5)
         assert (coords * coords).sum() == pytest.approx(expected_top5_sum, rel=1e-10)
 
     def test_rows_orthogonal_with_eigenvalue_norms(self, rng):
@@ -67,7 +76,7 @@ class TestPcaFit:
         for shape in ((8, 30), (30, 8)):
             x = rng.normal(size=shape)
             values = top_scatter_eigenvalues(x, 6)
-            coords = pca_fit(x.copy(), 6)
+            coords = pca_fit(parts_of(x), 6)
             assert coords.shape == (6, shape[1])
             gram = coords @ coords.T
             assert np.abs(gram - np.diag(values)).max() <= 1e-10 * values[0]
@@ -76,7 +85,7 @@ class TestPcaFit:
         x = rng.normal(size=(7, 25))
         variances = []
         for k in range(1, 8):
-            coords = pca_fit(x.copy(), k)
+            coords = pca_fit(parts_of(x), k)
             variances.append((coords * coords).sum())
         assert np.all(np.diff(variances) >= -1e-9)
 
@@ -84,7 +93,7 @@ class TestPcaFit:
         # more dimensions than samples forces the n x n route; the oracle
         # projects on the eigenvectors of the explicit d x d scatter
         x = rng.normal(size=(40, 12))
-        coords = pca_fit(x.copy(), 4)
+        coords = pca_fit(parts_of(x), 4)
         _, vectors = np.linalg.eigh(explicit_scatter(x))
         oracle = vectors[:, ::-1][:, :4].T @ (x - x.mean(axis=1, keepdims=True))
         signs = np.sign((coords * oracle).sum(axis=1))
@@ -94,38 +103,63 @@ class TestPcaFit:
     def test_matches_reference_components_oracle(self, rng, shape):
         x = rng.normal(size=shape) + 2.0
         oracle = reference_pca_coordinates(x, 5)
-        coords = pca_fit(x.copy(), 5)
+        coords = pca_fit(parts_of(x), 5)
+        assert np.abs(coords - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("shape, cuts", [
+        # scatter route: d and the part widths are not multiples of the block
+        ((300, 700), (1,)), ((257, 600), (255, 256)), ((40, 513), (512,)),
+        # Gram route: the row blocks cross d = 2 * block + 3 and a part is one column
+        ((515, 300), (299,)), ((600, 257), (1, 129)),
+        # one part holding every column
+        ((300, 520), ()),
+    ], ids=["scatter-one-column-source", "scatter-uneven", "scatter-one-column-target",
+            "gram-one-column-target", "gram-uneven", "scatter-one-part"])
+    def test_block_edges_match_reference_oracle(self, rng, shape, cuts):
+        x = rng.normal(size=shape) * rng.uniform(0.5, 2.0, size=(shape[0], 1)) + 3.0
+        oracle = reference_pca_coordinates(x, 7)
+        coords = pca_fit(parts_of(x, cuts), 7)
         assert np.abs(coords - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
     def test_gram_rows_lead_with_a_positive_entry(self, rng):
         # the Gram route's sign rule, read off the returned rows
-        coords = pca_fit(rng.normal(size=(30, 9)), 5)
+        coords = pca_fit(parts_of(rng.normal(size=(30, 9))), 5)
         lead = coords[np.arange(5), np.argmax(np.abs(coords), axis=1)]
         assert (lead > 0).all()
 
     def test_rejects_out_of_range_dim(self, rng):
         x = rng.normal(size=(5, 10))
         with pytest.raises(ValueError, match="n_components"):
-            pca_fit(x, 6)
+            pca_fit(parts_of(x), 6)
+
+    def test_rejects_mismatched_parts(self, rng):
+        with pytest.raises(ValueError, match="same row count"):
+            pca_fit((rng.normal(size=(5, 10)), rng.normal(size=(4, 10))), 2)
 
     def test_constant_data_rejected(self):
         x = np.ones((3, 8))
         with pytest.raises(ValueError, match="zero variance"):
-            pca_fit(x, 1)
+            pca_fit(parts_of(x), 1)
 
     @pytest.mark.parametrize("shape", [(5, 20), (20, 5)], ids=["scatter", "gram"])
-    def test_leaves_argument_centred(self, rng, shape):
+    def test_leaves_parts_unchanged(self, rng, shape):
         x = rng.normal(size=shape) + 3.0
-        oracle = x - x.mean(axis=1, keepdims=True)
-        pca_fit(x, 3)
-        np.testing.assert_array_equal(x, oracle)
+        parts = tuple(np.array(p) for p in np.split(x, [shape[1] // 3], axis=1))
+        before = [p.copy() for p in parts]
+        pca_fit(parts, 3)
+        for part, copy in zip(parts, before):
+            np.testing.assert_array_equal(part, copy)
+        # read-only parts are accepted as they are
+        for part in parts:
+            part.setflags(write=False)
+        pca_fit(parts, 3)
 
     def test_reconstruction_residual_orthogonal(self, rng):
         # scatter route: the coordinates reconstruct the data along the
         # oracle's axes, leaving a residual orthogonal to them
         x = rng.normal(size=(9, 30))
         components = reference_pca_components(x, 4)
-        coords = pca_fit(x.copy(), 4)
+        coords = pca_fit(parts_of(x), 4)
         residual = x - x.mean(axis=1, keepdims=True) - components @ coords
         assert np.abs(components.T @ residual).max() <= 1e-8
 

@@ -126,9 +126,21 @@ class TestSlppFit:
         labeled = rng.normal(size=(5, 12))
         labels = rng.integers(0, 2, size=12)
         everything = rng.normal(size=(5, 40))
-        model = slpp_fit(labeled, labels, 2, all_data=everything)
+        model = slpp_fit(labeled, labels, 2, mean=everything.mean(axis=1))
         expected = (model.projection.T @ everything).mean(axis=1)
         np.testing.assert_allclose(model.embedding_mean, expected)
+
+    def test_mean_defaults_to_labeled_columns(self, rng):
+        labeled = rng.normal(size=(5, 12)) + 1.0
+        labels = rng.integers(0, 2, size=12)
+        model = slpp_fit(labeled, labels, 2)
+        expected = (model.projection.T @ labeled).mean(axis=1)
+        np.testing.assert_allclose(model.embedding_mean, expected)
+
+    def test_rejects_mean_of_wrong_length(self, rng):
+        data = rng.normal(size=(4, 10))
+        with pytest.raises(ValueError, match="length-4"):
+            slpp_fit(data, rng.integers(0, 2, size=10), 2, mean=np.zeros(3))
 
     def test_rejects_too_many_components(self, rng):
         data = rng.normal(size=(4, 10))
@@ -158,7 +170,7 @@ class TestEmbed:
     def test_pre_normalization_mean_is_zero(self, rng):
         data = rng.normal(size=(6, 25))
         labels = rng.integers(0, 3, size=25)
-        model = slpp_fit(data, labels, 4, all_data=data)
+        model = slpp_fit(data, labels, 4, mean=data.mean(axis=1))
         centered = model.projection.T @ data - model.embedding_mean[:, None]
         assert np.linalg.norm(centered.mean(axis=1)) <= 1e-10
 

@@ -5,7 +5,8 @@ symmetric-definite eigendecomposition (both through ``scipy.linalg.eigh``),
 and an exact minimum-cost assignment solver. The eigensolvers return
 ``(values, vectors)`` and the assignment solver the assignment vector.
 Everything is deterministic: eigenvector signs are canonicalized and
-assignment ties are resolved lexicographically.
+assignment ties are resolved lexicographically, by an O(n^3) rotation rule
+on the Hungarian matching.
 
 The generalized solver computes only the requested top-k pairs (LAPACK's
 expert driver ``gvx``) when ``8 * k <= n`` and the full spectrum (``gvd``)
@@ -140,11 +141,11 @@ def solve_assignment(c) -> np.ndarray:
     assignment vector is returned.
 
     Every optimum uses only admissible edges, those of zero reduced cost
-    under the optimal potentials. When the Hungarian matching is the only
-    perfect matching of the admissible graph, it is the only optimum and is
-    returned as it is. Otherwise the lexicographically smallest perfect
-    matching of the admissible graph is searched for, which costs repeated
-    feasibility checks on tie-heavy costs.
+    under the optimal potentials. Starting from the Hungarian matching, the
+    rows are fixed in order, each to the smallest admissible column it can
+    take by rotating the matching along a cycle of unfixed rows. The
+    matching stays perfect after every rotation, and the rule costs O(n^3)
+    whether or not the optimum is unique.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -162,9 +163,7 @@ def solve_assignment(c) -> np.ndarray:
     tol = 1e-9 * (1.0 + float(np.abs(c).max()))
     admissible = (c - u[:, None] - v[None, :]) <= tol
     admissible[np.arange(n), row_to_col] = True
-    if _only_perfect_matching(admissible, row_to_col):
-        return row_to_col
-    return _lex_min_matching(admissible)
+    return _lex_first_matching(admissible, row_to_col)
 
 
 def _hungarian(cost: np.ndarray):
@@ -206,55 +205,33 @@ def _hungarian(cost: np.ndarray):
     return row_to_col, u[1:], v[1:]
 
 
-def _only_perfect_matching(admissible: np.ndarray, row_to_col: np.ndarray) -> bool:
-    """Is ``row_to_col`` the only perfect matching of the admissible graph?
+def _lex_first_matching(admissible: np.ndarray, row_to_col: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest perfect matching of the admissible graph.
 
-    Another perfect matching exists exactly when an alternating cycle does:
-    row i takes the column of row k over an admissible unmatched edge, row k
-    that of the next row, and so on back to row i. The rows' transitive
-    closure under that step, by repeated squaring, shows any such cycle on
-    its diagonal.
+    ``row_to_col`` is a perfect matching M of the graph. Rows are fixed in
+    order. Row i may take an admissible column j of an unfixed row r when
+    r reaches i through unfixed rows, each taking the next one's column:
+    then rotating M along that cycle keeps it perfect. One reverse
+    breadth-first search from row i finds every such r, so each row costs
+    O(n^2) and the whole rule O(n^3).
     """
     n = admissible.shape[0]
-    step = admissible[:, row_to_col].astype(float)
-    np.fill_diagonal(step, 0.0)
-    reach = step
-    for _ in range(n.bit_length()):
-        reach = np.minimum(reach + reach @ reach, 1.0)
-    return not reach.diagonal().any()
-
-
-def _lex_min_matching(admissible: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest perfect matching of an admissible graph."""
-    n = admissible.shape[0]
-    result = np.full(n, -1, dtype=int)
-    used_cols = np.zeros(n, dtype=bool)
+    row_to_col = row_to_col.copy()
+    parent = np.empty(n, dtype=int)
     for i in range(n):
-        for j in np.flatnonzero(admissible[i] & ~used_cols):
-            used_cols[j] = True
-            if _rows_matchable(admissible, i + 1, used_cols):
-                result[i] = j
-                break
-            used_cols[j] = False
-        if result[i] < 0:
-            raise NumericalError("assignment refinement lost feasibility")
-    return result
-
-
-def _rows_matchable(admissible: np.ndarray, start: int, used_cols: np.ndarray) -> bool:
-    """Can rows start..n-1 be perfectly matched into the unused columns?"""
-    n = admissible.shape[0]
-    col_owner = np.full(n, -1, dtype=int)
-
-    def augment(row: int, seen: np.ndarray) -> bool:
-        for j in np.flatnonzero(admissible[row] & ~used_cols & ~seen):
-            seen[j] = True
-            if col_owner[j] < 0 or augment(col_owner[j], seen):
-                col_owner[j] = row
-                return True
-        return False
-
-    for row in range(start, n):
-        if not augment(row, np.zeros(n, dtype=bool)):
-            return False
-    return True
+        unreached = np.arange(n) > i
+        queue = [i]
+        # unfixed rows that can take the column of a row already queued
+        for s in queue:
+            found = np.flatnonzero(unreached & admissible[:, row_to_col[s]])
+            unreached[found] = False
+            parent[found] = s
+            queue.extend(found.tolist())
+        cols = row_to_col[queue]
+        r = queue[int(np.argmin(np.where(admissible[i, cols], cols, n)))]
+        taken = row_to_col[r]
+        while r != i:
+            row_to_col[r] = row_to_col[parent[r]]
+            r = parent[r]
+        row_to_col[i] = taken
+    return row_to_col

@@ -65,7 +65,12 @@ class AdaptationResult:
         return self.snapshots[-1].accuracy
 
     def to_dict(self) -> dict:
-        """JSON-ready form; serializing it twice yields identical bytes."""
+        """JSON-ready form; serializing it twice yields identical bytes.
+
+        ``model`` is left out: its projection maps PCA coordinates that the
+        result does not carry, and its bits change with the BLAS thread
+        count while the predictions do not.
+        """
         return {
             "config": self.config.to_dict(),
             "n_classes": self.n_classes,
@@ -75,8 +80,6 @@ class AdaptationResult:
                  "accuracy": s.accuracy}
                 for s in self.snapshots
             ],
-            "projection": self.model.projection.tolist(),
-            "embedding_mean": self.model.embedding_mean.tolist(),
             "warnings": list(self.warnings),
         }
 

@@ -23,6 +23,49 @@ def brute_force_assignment(cost):
     return perms[best], float(totals[best])
 
 
+def reference_lex_min_matching(admissible):
+    """Lexicographically smallest perfect matching of an admissible graph.
+
+    The column-by-column search ``solve_assignment`` used before its
+    rotation rule: each column is tried in turn and kept when the later
+    rows can still be matched. The oracle for the tie rule.
+    """
+    from splda.linalg import NumericalError
+
+    n = admissible.shape[0]
+    result = np.full(n, -1, dtype=int)
+    used_cols = np.zeros(n, dtype=bool)
+    for i in range(n):
+        for j in np.flatnonzero(admissible[i] & ~used_cols):
+            used_cols[j] = True
+            if _rows_matchable(admissible, i + 1, used_cols):
+                result[i] = j
+                break
+            used_cols[j] = False
+        if result[i] < 0:
+            raise NumericalError("assignment refinement lost feasibility")
+    return result
+
+
+def _rows_matchable(admissible, start, used_cols):
+    """Can rows start..n-1 be perfectly matched into the unused columns?"""
+    n = admissible.shape[0]
+    col_owner = np.full(n, -1, dtype=int)
+
+    def augment(row, seen):
+        for j in np.flatnonzero(admissible[row] & ~used_cols & ~seen):
+            seen[j] = True
+            if col_owner[j] < 0 or augment(col_owner[j], seen):
+                col_owner[j] = row
+                return True
+        return False
+
+    for row in range(start, n):
+        if not augment(row, np.zeros(n, dtype=bool)):
+            return False
+    return True
+
+
 _HEADER_RE = re.compile(r"^#\s*d=(\d+)\s+n=(\d+)\s+labeled=([01])\s*$")
 
 

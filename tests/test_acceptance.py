@@ -201,9 +201,13 @@ def test_criterion_5_office_caltech_reproduction():
 def test_criterion_6_determinism(tmp_path):
     src, tgt = gen_synthetic(4, 15, 10, shift_magnitude=2.0, seed=11)
     cfg = RunConfig(pca_dim=10, subspace_dim=6, iterations=4)
-    result_bytes = [json.dumps(run(src, tgt, cfg).to_dict()).encode()
-                    for _ in range(2)]
+    results = [run(src, tgt, cfg) for _ in range(2)]
+    result_bytes = [json.dumps(r.to_dict()).encode() for r in results]
     checks = [result_bytes[0] == result_bytes[1]]
+    # to_dict leaves the model out; compare it directly
+    checks += [np.array_equal(results[0].model.projection, results[1].model.projection),
+               np.array_equal(results[0].model.embedding_mean,
+                              results[1].model.embedding_mean)]
 
     src_path, tgt_path = tmp_path / "s.txt", tmp_path / "t.txt"
     assert main(["synth", "--classes", "4", "--per-class", "15", "--dim", "10",

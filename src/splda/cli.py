@@ -95,33 +95,35 @@ def _prepare_task(task: dict) -> dict:
     started = time.perf_counter()
     prepared = error = None
     try:
+        # the config is checked before the pair, as a single run checks it
+        pca_dim = RunConfig(**task["config"]).pca_dim
         src = load_features(task["source"], domain="source")
         tgt = load_features(task["target"], domain="target")
-        # the config is checked before the pair, as a single run checks it
-        prepared = prepare(src, tgt, RunConfig(**task["config"]).pca_dim)
+        prepared = prepare(src, tgt, pca_dim)
     except Exception as exc:  # noqa: BLE001 - any task failure is reportable
         error = _describe(exc)
     return {"prepared": prepared, "error": error,
-            "wall_time_s": time.perf_counter() - started}
+            "prepare_s": time.perf_counter() - started}
 
 
 def _cell_task(task: dict) -> dict:
-    """Worker that runs one config on a prepared pair; returns a report record."""
+    """Worker that runs one config on a prepared pair; returns a report record.
+
+    A cell whose pair failed to prepare returns its failed record at once.
+    """
     from .pipeline import run_prepared
 
     record = _record(task["source"], task["target"], task["config"])
+    if task["error"] is not None:
+        record.update(status="failed", error=task["error"], wall_time_s=task["prepare_s"])
+        return record
     started = time.perf_counter()
     try:
-        result = run_prepared(task["prepared"], RunConfig(**task["config"]))
-        record["iteration_accuracy"] = [s.accuracy for s in result.snapshots]
-        record["selected_counts"] = [s.selected_count for s in result.snapshots]
-        record["final_accuracy"] = result.final_accuracy
-        record["predictions"] = result.predictions.tolist()
-        record["warnings"] = list(result.warnings)
+        record.update(run_prepared(task["prepared"], RunConfig(**task["config"])).to_dict())
     except Exception as exc:  # noqa: BLE001 - any task failure is reportable
         record["status"] = "failed"
         record["error"] = _describe(exc)
-    record["wall_time_s"] = time.perf_counter() - started
+    record["wall_time_s"] = time.perf_counter() - started + task["prepare_s"]
     return record
 
 
@@ -149,30 +151,18 @@ def _pool(jobs: int):
 def _run_cells(pairs: list, configs: list, jobs: int) -> list:
     """Prepare each pair once, then run every config on it; one record per cell.
 
-    A pair that fails to prepare gets one failed record per config, all with
-    its error. Loading and preparing a pair is timed into its record only
-    when the pair has a single config (adapt); ablate's cells share it, so
-    each cell's time is its own loop.
+    Every cell of a pair that fails to prepare gets a failed record with its
+    error. Loading and preparing a pair is timed into its record only when
+    the pair has a single config (adapt); ablate's cells share it, so each
+    cell's time is its own loop.
     """
     with _pool(jobs) as pool:
         stage = _run_tasks(_prepare_task, [
             {"source": s, "target": t, "config": configs[0]} for s, t in pairs], pool)
-        cells = [{"source": s, "target": t, "config": c, "prepared": p["prepared"]}
-                 for (s, t), p in zip(pairs, stage) if p["error"] is None
-                 for c in configs]
-        done = iter(_run_tasks(_cell_task, cells, pool))
-    records = []
-    for (s, t), p in zip(pairs, stage):
-        shared = p["wall_time_s"] if len(configs) == 1 else 0.0
-        for c in configs:
-            if p["error"] is None:
-                record = next(done)
-            else:
-                record = _record(s, t, c)
-                record.update(status="failed", error=p["error"], wall_time_s=0.0)
-            record["wall_time_s"] += shared
-            records.append(record)
-    return records
+        cells = [dict(p, source=s, target=t, config=c,
+                      prepare_s=p["prepare_s"] if len(configs) == 1 else 0.0)
+                 for (s, t), p in zip(pairs, stage) for c in configs]
+        return _run_tasks(_cell_task, cells, pool)
 
 
 def _finish(command: str, records: list, args) -> int:
@@ -239,10 +229,14 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    source, target = gen_synthetic(
-        classes=args.classes, per_class=args.per_class, dim=args.dim,
-        shift_magnitude=args.shift, seed=args.seed, separation=args.separation,
-    )
+    try:
+        source, target = gen_synthetic(
+            classes=args.classes, per_class=args.per_class, dim=args.dim,
+            shift_magnitude=args.shift, seed=args.seed, separation=args.separation,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     save_features(source, args.out_source)
     save_features(target, args.out_target)
     print(f"wrote {args.out_source} and {args.out_target}")

@@ -218,6 +218,9 @@ def gen_synthetic(classes: int, per_class: int, dim: int, shift_magnitude: float
         raise ValueError(f"need at least 2 samples per class, got {per_class}")
     if dim < 2:
         raise ValueError(f"need at least 2 dimensions, got {dim}")
+    for name, value in (("shift_magnitude", shift_magnitude), ("separation", separation)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(dim, classes))
     directions /= np.linalg.norm(directions, axis=0)

@@ -57,7 +57,6 @@ class AdaptationResult:
     snapshots: tuple
     model: SlppModel
     config: RunConfig
-    n_classes: int
     warnings: tuple = ()
 
     @property
@@ -65,21 +64,19 @@ class AdaptationResult:
         return self.snapshots[-1].accuracy
 
     def to_dict(self) -> dict:
-        """JSON-ready form; serializing it twice yields identical bytes.
+        """A report task's JSON body; serializing it twice gives equal bytes.
 
-        ``model`` is left out: its projection maps PCA coordinates that the
-        result does not carry, and its bits change with the BLAS thread
-        count while the predictions do not.
+        The CLI adds only ``source``, ``target``, ``status``, ``error`` and
+        ``wall_time_s`` to it. ``model`` is left out: its projection maps
+        PCA coordinates that the result does not carry, and its bits change
+        with the BLAS thread count while the predictions do not.
         """
         return {
             "config": self.config.to_dict(),
-            "n_classes": self.n_classes,
+            "iteration_accuracy": [s.accuracy for s in self.snapshots],
+            "selected_counts": [s.selected_count for s in self.snapshots],
+            "final_accuracy": self.final_accuracy,
             "predictions": self.predictions.tolist(),
-            "snapshots": [
-                {"iteration": s.iteration, "selected_count": s.selected_count,
-                 "accuracy": s.accuracy}
-                for s in self.snapshots
-            ],
             "warnings": list(self.warnings),
         }
 
@@ -206,7 +203,6 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
         snapshots=tuple(snapshots),
         model=model,
         config=config,
-        n_classes=prepared.n_classes,
         warnings=prepared.warnings + tuple(str(w.message) for w in caught),
     )
 

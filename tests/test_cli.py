@@ -5,8 +5,9 @@ import pytest
 
 from splda import cli
 from splda.cli import main
-from splda.data import DomainDataset
-from splda.dataio import save_features
+from splda.data import DomainDataset, RunConfig
+from splda.dataio import load_features, save_features
+from splda.pipeline import run
 
 
 @pytest.fixture
@@ -43,6 +44,31 @@ def rank_deficient_files(tmp_path):
     save_features(src, src_path)
     save_features(tgt, tgt_path)
     return src_path, tgt_path
+
+
+def too_few_target_files(tmp_path):
+    # six source classes but only four target samples: k-means needs six
+    rng = np.random.default_rng(2)
+    src = DomainDataset(rng.normal(size=(5, 18)), labels=np.repeat(np.arange(6), 3))
+    tgt = DomainDataset(rng.normal(size=(5, 4)), domain="target")
+    src_path, tgt_path = tmp_path / "s6.txt", tmp_path / "t4.txt"
+    save_features(src, src_path)
+    save_features(tgt, tgt_path)
+    return src_path, tgt_path
+
+
+@pytest.fixture
+def loaded(monkeypatch):
+    """Paths that ``cli.load_features`` is called with, in call order."""
+    paths = []
+    real_load = cli.load_features
+
+    def counting_load(path, *args, **kwargs):
+        paths.append(str(path))
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_features", counting_load)
+    return paths
 
 
 def run_ablate(tmp_path, pairs, *extra, name="ablate.json"):
@@ -133,6 +159,16 @@ class TestAdapt:
             reports.append(path.read_text())
         assert reports[0] == reports[1]
 
+    def test_task_is_result_dict_plus_task_fields(self, pair_files, tmp_path):
+        _, report = run_adapt(pair_files, tmp_path, "--no-timing")
+        task = report["tasks"][0]
+        for field in ("source", "target", "status", "error", "wall_time_s"):
+            del task[field]
+        src = load_features(pair_files[0])
+        tgt = load_features(pair_files[1], domain="target")
+        result = run(src, tgt, RunConfig(pca_dim=10, subspace_dim=8, iterations=3))
+        assert result.to_dict() == task
+
     def test_warnings_mirrored_to_stderr_and_report(self, tmp_path, capsys):
         src_path, tgt_path = rank_deficient_files(tmp_path)
         report_path = tmp_path / "r.json"
@@ -189,27 +225,42 @@ class TestAblate:
         assert len(combos) == 9
         assert all(len(t["predictions"]) == 60 for t in report["tasks"])
 
-    def test_loads_each_file_once(self, pair_files, tmp_path, monkeypatch):
-        loaded = []
-        real_load = cli.load_features
-
-        def counting_load(path, *args, **kwargs):
-            loaded.append(str(path))
-            return real_load(path, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "load_features", counting_load)
+    def test_loads_each_file_once(self, pair_files, tmp_path, loaded):
         code, _ = run_ablate(tmp_path, [pair_files])
         assert code == 0
         assert sorted(loaded) == sorted(str(p) for p in pair_files)
 
-    def test_parallel_jobs_match_serial(self, pair_files, tmp_path):
+    def test_bad_config_fails_before_loading(self, pair_files, tmp_path, loaded):
         pairs = [pair_files, rank_deficient_files(tmp_path)]
+        code, text = run_ablate(tmp_path, pairs, "--d2", "5")
+        assert code == 1
+        assert loaded == []
+        tasks = json.loads(text)["tasks"]
+        assert len(tasks) == 18
+        assert {t["status"] for t in tasks} == {"failed"}
+        assert {t["error"] for t in tasks} == {
+            "ValueError: subspace_dim must satisfy 1 <= subspace_dim <= pca_dim, "
+            "got 5 vs pca_dim=4"}
+
+    def test_parallel_jobs_match_serial(self, pair_files, tmp_path):
+        pairs = [pair_files, rank_deficient_files(tmp_path),
+                 too_few_target_files(tmp_path)]
         _, serial = run_ablate(tmp_path, pairs, "--jobs", "1", "--no-timing",
                                name="serial.json")
-        _, parallel = run_ablate(tmp_path, pairs, "--jobs", "2", "--no-timing",
-                                 name="parallel.json")
+        code, parallel = run_ablate(tmp_path, pairs, "--jobs", "2", "--no-timing",
+                                    name="parallel.json")
         assert serial == parallel
-        assert len(json.loads(serial)["tasks"]) == 18
+        assert code == 1
+        tasks = json.loads(serial)["tasks"]
+        assert len(tasks) == 27
+        assert {t["status"] for t in tasks[:18]} == {"ok"}
+        # the third pair prepares, then its cluster-based cells fail in the loop
+        ncp, clustered = tasks[18:21], tasks[21:]
+        assert {t["config"]["labeling"] for t in ncp} == {"ncp"}
+        assert {t["status"] for t in ncp} == {"ok"}
+        assert {t["status"] for t in clustered} == {"failed"}
+        assert {t["error"] for t in clustered} == {
+            "ValueError: need at least 6 target samples, got 4"}
 
     def test_pair_that_fails_to_prepare(self, pair_files, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -282,9 +333,26 @@ class TestBaseline:
 
 class TestSynth:
     def test_files_loadable(self, pair_files):
-        from splda.dataio import load_features
         src = load_features(pair_files[0])
         tgt = load_features(pair_files[1], domain="target")
         assert src.dim == tgt.dim == 10
         assert src.labels is not None
         assert tgt.eval_labels is not None
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--classes", "1", "need at least 2 classes, got 1"),
+        ("--per-class", "1", "need at least 2 samples per class, got 1"),
+        ("--dim", "1", "need at least 2 dimensions, got 1"),
+        ("--shift", "nan", "shift_magnitude must be finite, got nan"),
+        ("--separation", "inf", "separation must be finite, got inf"),
+    ])
+    def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, flag, value,
+                                           message):
+        args = {"--classes": "3", "--per-class": "4", "--dim": "5", "--shift": "1.0"}
+        args[flag] = value
+        src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+        argv = ["synth", *(x for item in args.items() for x in item),
+                "--out-source", str(src), "--out-target", str(tgt)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not src.exists() and not tgt.exists()

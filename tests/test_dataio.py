@@ -380,6 +380,10 @@ class TestGenSynthetic:
             gen_synthetic(3, 1, 5, 0.0, 0)
         with pytest.raises(ValueError, match="dimensions"):
             gen_synthetic(3, 10, 1, 0.0, 0)
+        with pytest.raises(ValueError, match="shift_magnitude must be finite"):
+            gen_synthetic(3, 10, 5, float("nan"), 0)
+        with pytest.raises(ValueError, match="separation must be finite"):
+            gen_synthetic(3, 10, 5, 0.0, 0, separation=float("-inf"))
 
 
 class TestEvaluate:

@@ -16,6 +16,7 @@ imported only when ``--jobs`` is above 1.
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -230,17 +231,40 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_synth(args) -> int:
     try:
-        source, target = gen_synthetic(
+        pair = gen_synthetic(
             classes=args.classes, per_class=args.per_class, dim=args.dim,
             shift_magnitude=args.shift, seed=args.seed, separation=args.separation,
         )
+        _save_all(pair, (args.out_source, args.out_target))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_features(source, args.out_source)
-    save_features(target, args.out_target)
     print(f"wrote {args.out_source} and {args.out_target}")
     return 0
+
+
+def _save_all(datasets, paths) -> None:
+    """Write each dataset to its path, or none of them.
+
+    Each is written to a temporary file beside its path, and the files are
+    moved into place only when all are written. On failure the temporary
+    files are removed and a ValueError names the path that failed.
+    """
+    temps = [f"{path}.{os.getpid()}.{i}.tmp" for i, path in enumerate(paths)]
+    try:
+        for dataset, temp, path in zip(datasets, temps, paths):
+            if os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: it is a directory")
+            try:
+                save_features(dataset, temp)
+            except OSError as exc:
+                raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
 
 
 def _add_pair_args(parser):
@@ -250,19 +274,23 @@ def _add_pair_args(parser):
                         help="target feature file (repeatable, paired in order)")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an int of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_batch_args(parser):
     parser.add_argument("--report", help="write the JSON report to this path")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="run up to this many tasks in parallel")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit wall times from the report (reproducible bytes)")
@@ -313,7 +341,7 @@ def main(argv=None) -> int:
                          help="domain shift magnitude in within-class sigmas")
     p_synth.add_argument("--separation", type=float, default=10.0,
                          help="typical class-mean distance in sigmas")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_int_at_least(0), default=0)
     p_synth.add_argument("--out-source", required=True)
     p_synth.add_argument("--out-target", required=True)
     p_synth.set_defaults(func=_cmd_synth)

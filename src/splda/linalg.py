@@ -1,12 +1,23 @@
 """Dense linear-algebra kernels used throughout the pipeline.
 
-Three operations are provided: symmetric eigendecomposition, generalized
-symmetric-definite eigendecomposition (both through ``scipy.linalg.eigh``),
-and an exact minimum-cost assignment solver. The eigensolvers return
+Four operations are provided: a blocked sum of symmetric products,
+symmetric eigendecomposition, generalized symmetric-definite
+eigendecomposition (both through ``scipy.linalg.eigh``), and an exact
+minimum-cost assignment solver. The eigensolvers return
 ``(values, vectors)`` and the assignment solver the assignment vector.
 Everything is deterministic: eigenvector signs are canonicalized and
 assignment ties are resolved lexicographically, by an O(n^3) rotation rule
 on the Hungarian matching.
+
+Each eigensolver has two entries. ``sym_eig`` and ``gen_eig`` never write
+their arguments: they copy them once and call ``sym_eig_in_place`` and
+``gen_eig_in_place``, which hand the matrices to LAPACK as its work
+buffers. The library calls the in-place entries on matrices it builds
+itself: PCA's scatter or Gram matrix and the SLPP pencil ``a``, ``b``. scipy
+copies a C-ordered matrix into Fortran order before LAPACK sees it, so
+``overwrite_a`` alone would not spare that copy. A matrix that is exactly
+symmetric equals its transpose, which is Fortran-ordered, so the transpose
+is what goes to LAPACK, which then works in place.
 
 The generalized solver computes only the requested top-k pairs (LAPACK's
 expert driver ``gvx``) when ``8 * k <= n`` and the full spectrum (``gvd``)
@@ -15,33 +26,68 @@ n=1024, k=64 and 0.73x at k=128, but 1.10x at k=384; at n=512 it took
 0.65x at k=64 and 0.99x at k=128; at n=128, k=128 it took 2.5x.
 """
 
+import re
+
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 _SYM_TOL = 1e-10
-# Rows per block when measuring asymmetry.
+# Rows per block when measuring asymmetry or mirroring a triangle.
 _BLOCK = 256
 # gen_eig solves for the top k pairs only when k is at most n / 8; above
 # that the partial solver is no faster than the full spectrum.
 _PARTIAL_SPECTRUM_RATIO = 8
+# scipy reports LAPACK's info = n + i, a Cholesky factorization of b that
+# failed at pivot i, as the order of b's leading minor.
+_PIVOT = re.compile(r"leading minor of order (\d+)")
 
 
 class NumericalError(RuntimeError):
     """A dense factorization failed (non-convergence or indefiniteness)."""
 
 
-def _checked_symmetric(m, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+def symmetric_sum(blocks, total: np.ndarray, rows: bool = False,
+                  alpha: float = 1.0) -> np.ndarray:
+    """Add ``alpha * b b^T`` (``rows``: ``alpha * b^T b``) over C-ordered blocks ``b``.
+
+    ``total`` is an exactly symmetric C-ordered matrix; the sum is added to
+    it in place and returned. Each block is added by one symmetric rank-k
+    update (BLAS ``syrk``) into the lower triangle, which is then mirrored,
+    so the result is exactly symmetric and no per-block product of the
+    order of ``total`` is formed.
+    """
+    for block in blocks:
+        # BLAS takes the transposes, which are Fortran-ordered views, without
+        # a copy; its upper triangle of total.T is total's lower triangle
+        total = dsyrk(alpha, block.T, beta=1.0, c=total.T, trans=0 if rows else 1,
+                      overwrite_c=1).T
+    order = total.shape[0]
+    for lo in range(0, order, _BLOCK):
+        hi = min(lo + _BLOCK, order)
+        for i in range(lo, hi - 1):
+            total[i, i + 1:hi] = total[i + 1:hi, i]
+        total[lo:hi, hi:] = total[hi:, lo:hi].T
+    return total
+
+
+def _checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:
+    """Validate ``m``, symmetrizing it in place when it is not exactly symmetric."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # max and min are NaN when any entry is
+    top, bottom = float(m.max()), float(m.min())
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise ValueError(f"{name} contains non-finite entries")
-    scale = max(1.0, float(m.max()), -float(m.min()))
+    scale = max(1.0, top, -bottom)
     asym = _max_asymmetry(m)
     if asym > _SYM_TOL * scale:
         raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    # an exactly symmetric m equals 0.5 * (m + m.T) bit for bit
-    return m if asym == 0.0 else 0.5 * (m + m.T)
+    if asym:
+        # m + m.T equals m.T + m bit for bit, so the mean is exactly symmetric
+        m += m.T
+        m *= 0.5
+    return m
 
 
 def _max_asymmetry(m: np.ndarray) -> float:
@@ -68,24 +114,26 @@ def _eigh_descending(a: np.ndarray, b: np.ndarray | None = None,
     """Eigenpairs of ``a`` (or of the pencil ``a``, ``b``), largest first.
 
     All pairs are computed unless ``k`` is given with ``b``; then only the
-    top k, by the expert generalized driver.
+    top k, by the expert generalized driver. ``a`` and ``b`` must be
+    exactly symmetric; LAPACK overwrites them.
     """
+    # finiteness was checked with the symmetry
+    owned = {"overwrite_a": True, "overwrite_b": True, "check_finite": False}
     try:
         if b is None:
-            values, vectors = scipy.linalg.eigh(a, driver="evd")
+            values, vectors = scipy.linalg.eigh(a.T, driver="evd", **owned)
         elif k is None:
-            values, vectors = scipy.linalg.eigh(a, b)
+            values, vectors = scipy.linalg.eigh(a.T, b.T, **owned)
         else:
             n = a.shape[0]
             values, vectors = scipy.linalg.eigh(
-                a, b, subset_by_index=[n - k, n - 1], driver="gvx")
+                a.T, b.T, subset_by_index=[n - k, n - 1], driver="gvx", **owned)
     except scipy.linalg.LinAlgError as exc:
-        if b is not None:
-            _, info = scipy.linalg.lapack.dpotrf(b, lower=1)
-            if info > 0:
-                raise NumericalError(
-                    f"b is not positive definite: Cholesky failed at pivot {info}"
-                ) from exc
+        pivot = _PIVOT.search(str(exc)) if b is not None else None
+        if pivot:
+            raise NumericalError(
+                f"b is not positive definite: Cholesky failed at pivot {pivot[1]}"
+            ) from exc
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     return values[::-1], vectors[:, ::-1]
 
@@ -95,8 +143,13 @@ def sym_eig(m, k: int):
 
     Eigenvalues are returned in descending order; eigenvectors are unit-norm
     columns with canonical signs. Each pair satisfies
-    ``|m v - value * v| <= 1e-8 * |m|_F``.
+    ``|m v - value * v| <= 1e-8 * |m|_F``. ``m`` is never written.
     """
+    return sym_eig_in_place(np.array(m, dtype=float, order="C"), k)
+
+
+def sym_eig_in_place(m: np.ndarray, k: int):
+    """:func:`sym_eig` of a C-ordered float matrix, which it overwrites."""
     m = _checked_symmetric(m, "m")
     n = m.shape[0]
     if not 1 <= k <= n:
@@ -116,8 +169,15 @@ def gen_eig(a, b, k: int):
     the full spectrum by the divide-and-conquer driver ``gvd``. ``gvx`` was
     measured faster only there (0.73x of ``gvd`` at n=1024, k=128; 0.99x
     at n=512, k=128; 2.5x at n=k=128; see the module docstring). The
-    returned vectors are rescaled to unit length.
+    returned vectors are rescaled to unit length. ``a`` and ``b`` are never
+    written.
     """
+    return gen_eig_in_place(np.array(a, dtype=float, order="C"),
+                            np.array(b, dtype=float, order="C"), k)
+
+
+def gen_eig_in_place(a: np.ndarray, b: np.ndarray, k: int):
+    """:func:`gen_eig` of two C-ordered float matrices, which it overwrites."""
     a = _checked_symmetric(a, "a")
     b = _checked_symmetric(b, "b")
     if a.shape != b.shape:

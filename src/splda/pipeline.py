@@ -171,9 +171,8 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
 
         def fit(chosen: np.ndarray, classes: np.ndarray) -> SlppModel:
             # the source columns plus the chosen targets under their pseudo-labels
-            labeled = np.hstack([xs, xt[:, chosen]])
-            lab = np.concatenate([ys, classes[chosen]])
-            return slpp_fit(labeled, lab, subspace_dim, mean=mean)
+            return slpp_fit(xs, ys, subspace_dim, mean=mean, target=xt, chosen=chosen,
+                            target_labels=classes[chosen])
 
         def label_all(model: SlppModel):
             zs = embed(model, xs)

@@ -5,9 +5,9 @@ which it reads and never writes, and returns the coordinates of every
 column. The eigendecomposition runs on whichever of the d x d scatter or
 the n x n Gram matrix of the centred pooled data is smaller. That matrix is
 summed from centred blocks of at most ``_BLOCK`` columns or rows, so no
-pooled or centred d x n copy is ever made. On the Gram route the
-coordinates are read off the Gram eigenvectors, so no d x k component
-matrix is formed.
+pooled or centred d x n copy is ever made, and LAPACK computes its
+eigenvectors in its own buffer. On the Gram route the coordinates are read
+off the Gram eigenvectors, so no d x k component matrix is formed.
 """
 
 import warnings
@@ -65,8 +65,10 @@ def pca_fit(parts, n_components: int) -> np.ndarray:
         blocks = _centred_column_blocks(parts, mean)
     else:
         blocks = _centred_row_blocks(parts, mean, n)
-    values, vectors = linalg.sym_eig(_symmetric_sum(blocks, min(d, n), rows=d > n),
-                                     n_components)
+    order = min(d, n)
+    # the summed matrix is the library's own, so it is solved in place
+    values, vectors = linalg.sym_eig_in_place(
+        linalg.symmetric_sum(blocks, np.zeros((order, order)), rows=d > n), n_components)
     if values[0] <= 0.0:
         raise ValueError("pooled data has zero variance; PCA is undefined")
     keep = values > _RANK_CUTOFF * values[0]
@@ -122,30 +124,6 @@ def _centred_row_blocks(parts, mean, n: int):
             np.subtract(part[lo:hi], mean[lo:hi, None], out=block[:, start:stop])
             start = stop
         yield block
-
-
-def _symmetric_sum(blocks, order: int, rows: bool) -> np.ndarray:
-    """Sum of ``b^T b`` (``rows``) or ``b b^T`` over C-ordered blocks ``b``.
-
-    Each block is added by one symmetric rank-k update (BLAS ``syrk``) into
-    the lower triangle of a single order x order buffer, which is then
-    mirrored, so the sum is exactly symmetric and no per-block
-    order x order product is formed.
-    """
-    from scipy.linalg.blas import dsyrk
-
-    total = np.zeros((order, order))
-    for block in blocks:
-        # BLAS takes the transposes, which are Fortran-ordered views, without
-        # a copy; its upper triangle of total.T is total's lower triangle
-        total = dsyrk(1.0, block.T, beta=1.0, c=total.T, trans=0 if rows else 1,
-                      overwrite_c=1).T
-    for lo in range(0, order, _BLOCK):
-        hi = min(lo + _BLOCK, order)
-        for i in range(lo, hi - 1):
-            total[i, i + 1:hi] = total[i + 1:hi, i]
-        total[lo:hi, hi:] = total[hi:, lo:hi].T
-    return total
 
 
 def l2_normalize_columns(x) -> np.ndarray:

@@ -250,6 +250,25 @@ def reference_pca_coordinates(x, n_components):
     return coords
 
 
+def reference_pencil(x, labels):
+    """``(X D X^T, X L X^T + I)`` of the labeled d x m ``x``; the pencil oracle.
+
+    The one-product form ``slpp_fit`` used before it summed the pencil from
+    parts: with S the matrix of class sums and ``deg[i]`` the size of
+    sample i's class, ``X D X^T = Y Y^T`` for ``Y = X * sqrt(deg)`` and
+    ``X L X^T = X D X^T - S S^T``.
+    """
+    from splda.preprocess import class_sums
+
+    _, ids, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    sums = class_sums(x, ids, counts.size)
+    y = x * np.sqrt(counts[ids])
+    a = y @ y.T
+    b = a - sums @ sums.T
+    b.flat[::b.shape[0] + 1] += 1.0
+    return a, b
+
+
 def random_spd(rng, n, shift=None):
     g = rng.normal(size=(n, n))
     if shift is None:

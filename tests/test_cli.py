@@ -356,3 +356,31 @@ class TestSynth:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not src.exists() and not tgt.exists()
+
+    SYNTH = ["synth", "--classes", "3", "--per-class", "4", "--dim", "5", "--shift", "1.0"]
+
+    @pytest.mark.parametrize("target", ["nodir/t.txt", "adir"])
+    def test_unwritable_target_leaves_no_file(self, tmp_path, monkeypatch, capsys, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main([*self.SYNTH, "--out-source", "s.txt", "--out-target", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_one_path_for_both_holds_the_target(self, tmp_path):
+        both = tmp_path / "both.txt"
+        assert main([*self.SYNTH, "--out-source", str(both), "--out-target", str(both)]) == 0
+        assert load_features(both, domain="target").eval_labels is not None
+        assert [p.name for p in tmp_path.iterdir()] == ["both.txt"]
+
+    def test_negative_seed_rejected_by_name(self, tmp_path, capsys):
+        src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.SYNTH, "--seed", "-1", "--out-source", str(src),
+                  "--out-target", str(tgt)])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["splda synth: error: argument --seed: must be at least 0, got -1"]
+        assert not src.exists() and not tgt.exists()

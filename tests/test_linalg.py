@@ -37,6 +37,40 @@ def total_cost(cost, assignment):
     return float(cost[np.arange(assignment.size), assignment].sum())
 
 
+def symmetric_input(m, form, rng):
+    """``m`` as an exactly symmetric C-ordered matrix, a matrix asymmetric
+    below the symmetry tolerance, or a Fortran-ordered copy."""
+    if form == "near":
+        m = m + 1e-13 * np.triu(rng.normal(size=m.shape), 1)
+    return np.asfortranarray(m) if form == "fortran" else m
+
+
+def spy_drivers(monkeypatch):
+    """Record the ``driver`` of every ``scipy.linalg.eigh`` call."""
+    drivers = []
+    real_eigh = scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        drivers.append(kwargs.get("driver"))
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return drivers
+
+
+class TestSymmetricSum:
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_matches_products_and_is_exactly_symmetric(self, rng, rows):
+        # 300 rows take two mirrored 256-row blocks
+        blocks = [rng.normal(size=(7, 300) if rows else (300, 7)) for _ in range(3)]
+        start = random_spd(rng, 300)
+        total = linalg.symmetric_sum(iter(blocks), start.copy(), rows=rows, alpha=-0.5)
+        expected = start - 0.5 * sum((b.T @ b) if rows else (b @ b.T) for b in blocks)
+        np.testing.assert_array_equal(total, total.T)
+        np.testing.assert_allclose(total, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
 class TestSymEig:
     def test_identity(self):
         values, vectors = sym_eig(np.eye(3), 3)
@@ -95,6 +129,21 @@ class TestSymEig:
         with pytest.raises(ValueError, match="k must be"):
             sym_eig(np.eye(3), 4)
 
+    @pytest.mark.parametrize("form", ["exact", "near", "fortran"])
+    def test_argument_bitwise_unchanged(self, rng, form):
+        m = symmetric_input(random_spd(rng, 12), form, rng)
+        before = m.copy(order="K")
+        sym_eig(m, 4)
+        assert m.tobytes(order="A") == before.tobytes(order="A")
+        assert m.flags.f_contiguous == before.flags.f_contiguous
+
+    def test_in_place_entry_gives_the_same_bits(self, rng):
+        m = random_spd(rng, 20)
+        values, vectors = sym_eig(m, 6)
+        in_place_values, in_place_vectors = linalg.sym_eig_in_place(m.copy(), 6)
+        np.testing.assert_array_equal(in_place_values, values)
+        np.testing.assert_array_equal(in_place_vectors, vectors)
+
 
 class TestGenEig:
     def test_identity_pencil(self):
@@ -141,14 +190,7 @@ class TestGenEig:
         oracle_values = all_values[::-1][:k]
         oracle = all_vectors[:, ::-1][:, :k]
         oracle /= np.linalg.norm(oracle, axis=0)
-        drivers = []
-        real_eigh = scipy.linalg.eigh
-
-        def spy(*args, **kwargs):
-            drivers.append(kwargs.get("driver"))
-            return real_eigh(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        drivers = spy_drivers(monkeypatch)
         values, vectors = gen_eig(a, b, k)
         assert drivers == [driver]
         np.testing.assert_allclose(values, oracle_values, rtol=0, atol=1e-8)
@@ -176,6 +218,37 @@ class TestGenEig:
         b[4, 4] = -1.0
         with pytest.raises(NumericalError, match="pivot 5"):
             gen_eig(np.eye(16), b, 1)
+
+    def test_indefinite_b_names_pivot_on_full_spectrum_path(self, monkeypatch):
+        drivers = spy_drivers(monkeypatch)
+        b = np.eye(16)
+        b[4, 4] = -1.0
+        with pytest.raises(NumericalError, match="pivot 5"):
+            gen_eig(np.eye(16), b, 16)
+        # no driver named: scipy's default for the full pencil, gvd
+        assert drivers == [None]
+
+    @pytest.mark.parametrize("k, driver", [(2, "gvx"), (16, None)])
+    @pytest.mark.parametrize("form", ["exact", "near", "fortran"])
+    def test_arguments_bitwise_unchanged(self, rng, monkeypatch, k, driver, form):
+        drivers = spy_drivers(monkeypatch)
+        a = symmetric_input(random_spd(rng, 16), form, rng)
+        b = symmetric_input(random_spd(rng, 16), form, rng)
+        before = a.copy(order="K"), b.copy(order="K")
+        gen_eig(a, b, k)
+        assert drivers == [driver]
+        for m, old in zip((a, b), before):
+            assert m.tobytes(order="A") == old.tobytes(order="A")
+            assert m.flags.f_contiguous == old.flags.f_contiguous
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_in_place_entry_gives_the_same_bits(self, rng, k):
+        a = random_spd(rng, 16)
+        b = random_spd(rng, 16)
+        values, vectors = gen_eig(a, b, k)
+        in_place_values, in_place_vectors = linalg.gen_eig_in_place(a.copy(), b.copy(), k)
+        np.testing.assert_array_equal(in_place_values, values)
+        np.testing.assert_array_equal(in_place_vectors, vectors)
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="order mismatch"):

@@ -219,6 +219,22 @@ class TestPrepare:
             tracemalloc.stop()
         assert peak < pooled_bytes / 2, (peak, pooled_bytes)
 
+    def test_gram_route_eigensolve_works_in_the_gram_buffer(self):
+        # n=400 < d=1000: the peak stays below the n x n Gram matrix, a copy
+        # of it and dsyevd's 2 n^2 workspace, which an eigensolve that copies
+        # its input would hold all at once
+        src, tgt = gen_synthetic(4, 50, 1000, shift_magnitude=2.0, seed=27)
+        n = src.n_samples + tgt.n_samples
+        bound = 4 * n * n * 8
+        tracemalloc.start()
+        try:
+            # the raw features were allocated before tracing began
+            prepare(src, tgt, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
     @pytest.mark.parametrize("pca_dim", [6.0, True, "6", None])
     def test_rejects_non_integer_pca_dim_before_any_work(self, monkeypatch, pca_dim):
         src, tgt = easy_pair(seed=25)

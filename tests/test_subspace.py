@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
 from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
 from splda.subspace import _pencil, embed, slpp_fit
+
+from conftest import reference_pencil
 
 
 def build_graph(labels):
@@ -16,6 +20,20 @@ def build_graph(labels):
     adjacency = (labels[:, None] == labels[None, :]).astype(float)
     degree = adjacency.sum(axis=1)
     return adjacency, degree, np.diag(degree) - adjacency
+
+
+def as_parts(data, labels, n_source, rng):
+    """``data``'s first ``n_source`` columns as the source, the rest as target columns.
+
+    Returns ``(source, labels, target, chosen, target_labels)``: the rest
+    sit at shuffled ``chosen`` positions of a target with 5 more random
+    columns, so the labeled columns are ``data``'s in order.
+    """
+    rest = data.shape[1] - n_source
+    target = rng.normal(size=(data.shape[0], rest + 5))
+    chosen = rng.permutation(rest + 5)[:rest]
+    target[:, chosen] = data[:, n_source:]
+    return data[:, :n_source], labels[:n_source], target, chosen, labels[n_source:]
 
 
 def pencil_matrices(data, labels):
@@ -50,10 +68,55 @@ class TestSlppFit:
             # sparse and negative ids, including singleton classes
             labels = rng.choice([-40, -3, 0, 2, 17, 10**6], size=60)
             labels[:2] = [-99, 123]
-            for ours, oracle in zip(_pencil(data, labels),
+            for ours, oracle in zip(_pencil(*as_parts(data, labels, 15 * trial, rng)),
                                     pencil_matrices(data, labels)):
                 err = np.linalg.norm(ours - oracle) / np.linalg.norm(oracle)
                 assert err <= 1e-12, (trial, err)
+
+    @pytest.mark.parametrize("n_source", [0, 300, 700])
+    def test_pencil_from_parts_matches_one_product_oracle(self, rng, n_source):
+        # 700 labeled columns take several 256-column blocks, one of them
+        # straddling the source/target boundary
+        data = rng.normal(size=(40, 700))
+        labels = rng.integers(0, 12, size=700)
+        for ours, oracle in zip(_pencil(*as_parts(data, labels, n_source, rng)),
+                                reference_pencil(data, labels)):
+            np.testing.assert_array_equal(ours, ours.T)
+            err = np.linalg.norm(ours - oracle) / np.linalg.norm(oracle)
+            assert err <= 1e-12, err
+
+    def test_parts_fit_spans_the_stacked_fit(self, rng):
+        data = rng.normal(size=(8, 90))
+        labels = rng.integers(0, 4, size=90)
+        source, ys, target, chosen, yt = as_parts(data, labels, 50, rng)
+        parts = slpp_fit(source, ys, 3, target=target, chosen=chosen, target_labels=yt)
+        stacked = slpp_fit(data, labels, 3)
+        assert subspace_angles(parts.projection, stacked.projection).max() <= 1e-6
+        np.testing.assert_allclose(parts.embedding_mean, stacked.embedding_mean,
+                                   atol=1e-12)
+
+    def test_traced_peak_holds_no_labeled_copy(self):
+        # d1=512 and m=2000 labeled columns (1000 source, 1000 of 1500
+        # targets): the peak stays below the two order-512 pencil matrices
+        # plus one 512 x 2000 copy, which a stacked or scaled copy of the
+        # labeled columns would already exceed
+        rng = np.random.default_rng(8)
+        d, ns, nt, chosen_count = 512, 1000, 1500, 1000
+        source = rng.normal(size=(d, ns))
+        target = rng.normal(size=(d, nt))
+        labels = rng.integers(0, 31, size=ns)
+        chosen = np.sort(rng.permutation(nt)[:chosen_count])
+        target_labels = rng.integers(0, 31, size=chosen_count)
+        bound = 2 * d * d * 8 + d * (ns + chosen_count) * 8
+        tracemalloc.start()
+        try:
+            # the inputs were allocated before tracing began
+            slpp_fit(source, labels, 128, target=target, chosen=chosen,
+                     target_labels=target_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     def test_depends_only_on_label_equality(self, rng):
         data = rng.normal(size=(6, 24))
@@ -151,6 +214,19 @@ class TestSlppFit:
         data = rng.normal(size=(4, 10))
         with pytest.raises(ValueError, match="align"):
             slpp_fit(data, np.zeros(9, dtype=int), 2)
+
+    @pytest.mark.parametrize("target, chosen, target_labels, message", [
+        (np.ones((3, 5)), [0], [1], "target must be a 2-D matrix with 4 rows"),
+        (np.ones((4, 5)), [5], [1], "chosen must be a vector of indices into the 5"),
+        (np.ones((4, 5)), [-1], [1], "chosen must be a vector of indices into the 5"),
+        (None, [0], [1], "chosen must be a vector of indices into the 0"),
+        (np.ones((4, 5)), [0, 1], [1], "target_labels must align with the 2 chosen"),
+    ])
+    def test_rejects_bad_target_parts(self, rng, target, chosen, target_labels, message):
+        data = rng.normal(size=(4, 10))
+        with pytest.raises(ValueError, match=message):
+            slpp_fit(data, np.zeros(10, dtype=int), 2, target=target, chosen=chosen,
+                     target_labels=target_labels)
 
 
 class TestEmbed:

@@ -44,11 +44,9 @@ def build_report(command: str, records: list) -> dict:
     }
 
 
-def _write_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+def _write_report(report: dict, path: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _record(source: str, target: str, config: dict) -> dict:
@@ -167,6 +165,11 @@ def _run_cells(pairs: list, configs: list, jobs: int) -> list:
 
 
 def _finish(command: str, records: list, args) -> int:
+    """Print each record's messages, write the report and print the summary.
+
+    Returns 0 when every task is ok, 1 when one failed, and 2 when the
+    report cannot be written.
+    """
     if args.no_timing:
         for record in records:
             record["wall_time_s"] = None
@@ -183,7 +186,13 @@ def _finish(command: str, records: list, args) -> int:
                 printed.add(line)
                 print(line, file=sys.stderr)
     report = build_report(command, records)
-    _write_report(report, args.report)
+    code = 0 if report["batch"]["failed"] == 0 else 1
+    if args.report:
+        try:
+            _save_all([report], [args.report], _write_report)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
     for record in records:
         label = f"{record['source']} -> {record['target']}"
         if "labeling" in record["config"]:
@@ -195,12 +204,10 @@ def _finish(command: str, records: list, args) -> int:
     avg = report["batch"]["average_final_accuracy"]
     if avg is not None and len(records) > 1:
         print(f"average: {avg:.1f}")
-    return 0 if report["batch"]["failed"] == 0 else 1
+    return code
 
 
 def _pairs(args) -> list:
-    if len(args.source) != len(args.target):
-        raise SystemExit("error: --source and --target counts differ")
     return list(zip(args.source, args.target))
 
 
@@ -235,7 +242,7 @@ def _cmd_synth(args) -> int:
             classes=args.classes, per_class=args.per_class, dim=args.dim,
             shift_magnitude=args.shift, seed=args.seed, separation=args.separation,
         )
-        _save_all(pair, (args.out_source, args.out_target))
+        _save_all(pair, (args.out_source, args.out_target), save_features)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -243,20 +250,21 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _save_all(datasets, paths) -> None:
-    """Write each dataset to its path, or none of them.
+def _save_all(items, paths, write) -> None:
+    """Write each item to its path with ``write(item, file)``, or none of them.
 
-    Each is written to a temporary file beside its path, and the files are
-    moved into place only when all are written. On failure the temporary
-    files are removed and a ValueError names the path that failed.
+    Every path is checked first (:func:`_check_writable`). Each item is then
+    written to a temporary file beside its path, and the files are moved
+    into place only when all are written. On failure the temporary files
+    are removed and a ValueError names the path that failed.
     """
+    for path in paths:
+        _check_writable(path)
     temps = [f"{path}.{os.getpid()}.{i}.tmp" for i, path in enumerate(paths)]
     try:
-        for dataset, temp, path in zip(datasets, temps, paths):
-            if os.path.isdir(path):
-                raise ValueError(f"cannot write {path}: it is a directory")
+        for item, temp, path in zip(items, temps, paths):
             try:
-                save_features(dataset, temp)
+                write(item, temp)
             except OSError as exc:
                 raise ValueError(f"cannot write {path}: {exc.strerror}") from None
         for temp, path in zip(temps, paths):
@@ -265,6 +273,22 @@ def _save_all(datasets, paths) -> None:
         for temp in temps:
             if os.path.exists(temp):
                 os.remove(temp)
+
+
+def _check_writable(path) -> None:
+    """Raise a ValueError naming ``path`` unless a file can be made beside it.
+
+    The path fails when it is a directory, or when its directory is missing
+    or refuses a new file. Nothing is left behind.
+    """
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        open(temp, "w").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    os.remove(temp)
 
 
 def _add_pair_args(parser):
@@ -347,6 +371,15 @@ def main(argv=None) -> int:
     p_synth.set_defaults(func=_cmd_synth)
 
     args = parser.parse_args(argv)
+    if "source" in args and len(args.source) != len(args.target):
+        sub.choices[args.command].error("--source and --target counts differ")
+    if getattr(args, "report", None):
+        # a report that cannot be written fails before any pair is loaded
+        try:
+            _check_writable(args.report)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

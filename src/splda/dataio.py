@@ -47,40 +47,35 @@ def load_features(path, domain: str = "source") -> DomainDataset:
     The file is read one line at a time and numpy parses each row straight
     into its column, so a load holds the matrix plus one line. A row that
     does not parse cleanly goes through the format's checks in order, to
-    name its line and its fault.
+    name its line and its fault. The first faulty line in the file is the
+    one named, and within a line a byte above 0x7f is named before any
+    other fault.
     """
     if domain not in ("source", "target"):
         raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
-    with open(path, "r", encoding="ascii") as fh:
-        lineno = 0
-        try:
-            d, n, labeled = _parse_header(path, fh.readline())
-            lineno = 1
-            features = np.empty((d, n), dtype=float)
-            labels = np.empty(n, dtype=int) if labeled else None
-            row = 0
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip(_BLANK):
-                    continue
-                # the label is parsed with the values, so a row that parses
-                # holds no byte on which numpy and _TOKEN_RE split differently
-                values = _floats(line)
-                label = _integer(_TOKEN_RE.search(line).group())
-                if (row < n and values is not None and values.size == d + 1
-                        and "_" not in line and label is not None
-                        and (0 <= label <= _LABEL_MAX if labeled else label == -1)
-                        and np.isfinite(values).all()):
-                    features[:, row] = values[1:]
-                    if labeled:
-                        labels[row] = label
-                    row += 1
-                else:
-                    _raise_row_error(path, lineno, line, d, n, row, labeled)
-        except UnicodeDecodeError as exc:
-            raise ValueError(
-                f"{path}: line {_line_of_byte(fh, exc, lineno)}: "
-                f"non-ASCII byte 0x{exc.object[exc.start]:02x}"
-            ) from None
+    # a byte above 0x7f decodes to one lone surrogate in the line that holds it
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        d, n, labeled = _parse_header(path, fh.readline())
+        features = np.empty((d, n), dtype=float)
+        labels = np.empty(n, dtype=int) if labeled else None
+        row = 0
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip(_BLANK):
+                continue
+            # the label is parsed with the values, so a row that parses
+            # holds no byte on which numpy and _TOKEN_RE split differently
+            values = _floats(line)
+            label = _integer(_TOKEN_RE.search(line).group())
+            if (line.isascii() and row < n and values is not None
+                    and values.size == d + 1 and "_" not in line and label is not None
+                    and (0 <= label <= _LABEL_MAX if labeled else label == -1)
+                    and np.isfinite(values).all()):
+                features[:, row] = values[1:]
+                if labeled:
+                    labels[row] = label
+                row += 1
+            else:
+                _raise_row_error(path, lineno, line, d, n, row, labeled)
     if row != n:
         raise ValueError(f"{path}: expected n={n} samples, found {row}")
     features.setflags(write=False)  # so the dataset adopts it without a copy
@@ -93,6 +88,7 @@ def _parse_header(path, line: str):
     """``(d, n, labeled)`` from the header line."""
     if not line:
         raise ValueError(f"{path}: line 1: empty file, expected header")
+    _check_ascii(f"{path}: line 1", line)
     header = _HEADER_RE.match(line)
     if header is None:
         raise ValueError(
@@ -139,10 +135,12 @@ def _raise_row_error(path, lineno: int, line: str, d: int, n: int, row: int,
                      labeled: bool):
     """Raise the error for a row that the fast parse did not accept.
 
-    The checks run in the format's order: duplicate header, column count,
-    surplus row, label, then the first value that is not a finite decimal.
+    The checks run in the format's order: a non-ASCII byte, duplicate
+    header, column count, surplus row, label, then the first value that is
+    not a finite decimal.
     """
     where = f"{path}: line {lineno}"
+    _check_ascii(where, line)
     if _HEADER_RE.match(line):
         raise ValueError(f"{where}: duplicate header")
     tokens = _TOKEN_RE.findall(line)
@@ -168,22 +166,15 @@ def _raise_row_error(path, lineno: int, line: str, d: int, n: int, row: int,
     raise ValueError(f"{where}: row does not parse as {d + 1} numbers")
 
 
-def _line_of_byte(fh, exc: UnicodeDecodeError, lines_read: int) -> int:
-    r"""1-based line of the byte that failed to decode.
+def _check_ascii(where: str, line: str) -> None:
+    """Raise for the first byte of ``line`` above 0x7f, if any.
 
-    ``exc.object`` is the undecoded chunk that holds the byte; the lines
-    before it in the chunk end at \n, \r\n or \r. Every line before the
-    chunk has been read, except one whose \r ended the previous chunk: the
-    reader holds such a \r back to see whether a \n follows it.
+    The file is decoded with ``surrogateescape``, so such a byte is the lone
+    surrogate U+DC00 + byte.
     """
-    chunk = exc.object
-    before = chunk[:exc.start]
-    ends = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-    start = fh.buffer.tell() - len(chunk)
-    if start > 0 and not chunk.startswith(b"\n"):
-        fh.buffer.seek(start - 1)
-        ends += fh.buffer.read(1) == b"\r"
-    return lines_read + ends + 1
+    if not line.isascii():
+        byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+        raise ValueError(f"{where}: non-ASCII byte 0x{byte:02x}")
 
 
 def save_features(dataset: DomainDataset, path) -> None:

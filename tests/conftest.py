@@ -74,22 +74,17 @@ def reference_load(path):
 
     Decodes the whole file, splits it with ``str.splitlines`` and reads each
     token with ``float``. Returns ``(features, labels)``, labels None for an
-    unlabeled file, or raises the loader's ``path: line N: ...`` errors.
+    unlabeled file, or raises the loader's ``path: line N: ...`` errors: the
+    first faulty line wins, and within a line a byte above 0x7f wins.
     ``splitlines`` also breaks lines at \v, \f and \x1c-\x1e, and
     ``str.split`` separates tokens at \x1c-\x1f, so this oracle holds only
     for files without those bytes.
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raw = exc.object
-        lineno = len((raw[:exc.start].decode("ascii") + "?").splitlines())
-        raise ValueError(
-            f"{path}: line {lineno}: non-ASCII byte 0x{raw[exc.start]:02x}"
-        ) from None
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: line 1: empty file, expected header")
+    _reject_non_ascii(f"{path}: line 1", lines[0])
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise ValueError(
@@ -108,6 +103,7 @@ def reference_load(path):
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.isspace():
             continue
+        _reject_non_ascii(f"{path}: line {lineno}", line)
         if _HEADER_RE.match(line):
             raise ValueError(f"{path}: line {lineno}: duplicate header")
         tokens = line.split()
@@ -157,6 +153,12 @@ def reference_load(path):
     if row != n:
         raise ValueError(f"{path}: expected n={n} samples, found {row}")
     return features, labels
+
+
+def _reject_non_ascii(where, line):
+    for ch in line:
+        if ord(ch) > 0x7F:
+            raise ValueError(f"{where}: non-ASCII byte 0x{ord(ch) - 0xDC00:02x}")
 
 
 def _is_decimal(token):

@@ -125,11 +125,14 @@ class TestAdapt:
         assert report["tasks"][1]["error"]
         assert "error [" in capsys.readouterr().err
 
-    def test_pair_count_mismatch(self, pair_files):
+    def test_pair_count_mismatch(self, pair_files, capsys):
         src, tgt = pair_files
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["adapt", "--source", str(src), "--source", str(src),
                   "--target", str(tgt), "--d1", "10"])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["splda adapt: error: --source and --target counts differ"]
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, pair_files, capsys, jobs):
@@ -329,6 +332,54 @@ class TestBaseline:
         err = capsys.readouterr().err
         assert err.count(f"warning [{src_path} -> {tgt_path}]: {message}") == 1
         assert len(recwarn) == 0
+
+
+class TestReportPath:
+    COMMANDS = {"adapt": ["--d1", "10", "--d2", "8", "--iters", "3"],
+                "ablate": ["--d1", "10", "--d2", "8", "--iters", "3"],
+                "baseline-1nn": []}
+
+    @pytest.mark.parametrize("report", ["nodir/r.json", "adir"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_report_fails_before_loading(self, pair_files, tmp_path,
+                                                    monkeypatch, capsys, loaded,
+                                                    command, report):
+        src, tgt = pair_files
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code = main([command, "--source", str(src), "--target", str(tgt),
+                     *self.COMMANDS[command], "--report", report])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.err.startswith(f"error: cannot write {report}: ")
+        assert out.err.count("\n") == 1 and out.out == ""
+        assert loaded == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list((tmp_path / "adir").iterdir()) == []
+
+    def test_failed_report_write_leaves_no_file(self, pair_files, tmp_path,
+                                                monkeypatch, capsys):
+        def full_disk(report, path):
+            with open(path, "w") as fh:
+                fh.write("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_report", full_disk)
+        src, tgt = pair_files
+        report = tmp_path / "r.json"
+        code = main(["baseline-1nn", "--source", str(src), "--target", str(tgt),
+                     "--report", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {report}: No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src.txt", "tgt.txt"]
+
+    def test_report_moved_into_place(self, pair_files, tmp_path):
+        code, report = run_adapt(pair_files, tmp_path)
+        assert code == 0 and report["batch"]["failed"] == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["report.json", "src.txt", "tgt.txt"]
 
 
 class TestSynth:

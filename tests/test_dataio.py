@@ -122,6 +122,28 @@ class TestLoadFeatures:
         expected = f"^{re.escape(str(path))}: line 3: non-ASCII byte 0xc3$"
         with pytest.raises(ValueError, match=expected):
             load_features(path)
+        assert _error(reference_load, path) == _error(load_features, path)
+
+    @pytest.mark.parametrize("accent_line", [1501, 6], ids=["past_first_read", "first_read"])
+    def test_short_row_before_a_non_ascii_byte_is_named(self, tmp_path, accent_line):
+        # the first faulty line wins, however far the reader has read ahead
+        rows = ["# d=2 n=1600 labeled=1"] + [f"{i % 3} 0.5 {i}.25" for i in range(1600)]
+        rows[3] = "1 0.5"
+        rows[accent_line - 1] += "\u00e9"
+        path = tmp_path / "feats.txt"
+        data = ("\n".join(rows) + "\n").encode("utf-8")
+        assert (data.index(b"\xc3") > 8192) == (accent_line == 1501)
+        path.write_bytes(data)
+        expected = f"{path}: line 4: expected 3 columns (label + 2 features), found 2"
+        assert _error(reference_load, path) == expected
+        assert _error(load_features, path) == expected
+
+    def test_byte_order_mark_names_line_1(self, tmp_path):
+        path = tmp_path / "feats.txt"
+        path.write_bytes("\ufeff# d=2 n=1 labeled=1\n0 1.0 2.0\n".encode("utf-8"))
+        expected = f"{path}: line 1: non-ASCII byte 0xef"
+        assert _error(reference_load, path) == expected
+        assert _error(load_features, path) == expected
 
     def test_roundtrip_exact(self, tmp_path, rng):
         feats = rng.normal(size=(7, 11)) * 10.0 ** rng.integers(-8, 8, size=(7, 11))
@@ -336,6 +358,20 @@ class TestLoaderAgainstReference:
         text, mutation = case
         path = tmp_path_factory.mktemp("bad") / "feats.txt"
         path.write_bytes(text.encode("ascii"))
+        expected = _error(reference_load, path)
+        assert expected is not None
+        assert _error(load_features, path) == expected, mutation
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda mutate: feature_files(mutate=mutate)),
+           st.data())
+    def test_non_ascii_byte_fails_like_reference(self, tmp_path_factory, case, data):
+        text, mutation = case
+        raw = text.encode("ascii")
+        at = data.draw(st.integers(0, len(raw)))
+        byte = data.draw(st.integers(0x80, 0xFF))
+        path = tmp_path_factory.mktemp("byte") / "feats.txt"
+        path.write_bytes(raw[:at] + bytes([byte]) + raw[at:])
         expected = _error(reference_load, path)
         assert expected is not None
         assert _error(load_features, path) == expected, mutation

@@ -11,7 +11,9 @@ Nothing here imports scipy, so the ``synth`` and ``baseline-1nn`` commands
 start without it.
 """
 
+import os
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -49,13 +51,17 @@ def load_features(path, domain: str = "source") -> DomainDataset:
     does not parse cleanly goes through the format's checks in order, to
     name its line and its fault. The first faulty line in the file is the
     one named, and within a line a byte above 0x7f is named before any
-    other fault.
+    other fault. A header that declares more rows than a regular file can
+    hold fails on line 1 before the matrix is allocated.
     """
     if domain not in ("source", "target"):
         raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
     # a byte above 0x7f decodes to one lone surrogate in the line that holds it
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        d, n, labeled = _parse_header(path, fh.readline())
+        info = os.fstat(fh.fileno())
+        # a pipe has no size to check against
+        size = info.st_size if stat.S_ISREG(info.st_mode) else None
+        d, n, labeled = _parse_header(path, fh.readline(), size)
         features = np.empty((d, n), dtype=float)
         labels = np.empty(n, dtype=int) if labeled else None
         row = 0
@@ -84,8 +90,14 @@ def load_features(path, domain: str = "source") -> DomainDataset:
     return DomainDataset(features, labels=labels, domain="source")
 
 
-def _parse_header(path, line: str):
-    """``(d, n, labeled)`` from the header line."""
+def _parse_header(path, line: str, size: int | None):
+    """``(d, n, labeled)`` from the header line of a file of ``size`` bytes.
+
+    A row is at least d + 1 one-byte tokens, each followed by a separator
+    or a line end, which the last row may lack: 2 (d + 1) bytes, or one
+    less. So a file whose rows after the header fit in fewer bytes than the
+    declared n rows need is rejected. ``size`` is None when unknown.
+    """
     if not line:
         raise ValueError(f"{path}: line 1: empty file, expected header")
     _check_ascii(f"{path}: line 1", line)
@@ -101,6 +113,14 @@ def _parse_header(path, line: str):
             f"{path}: line 1: header declares d={d} n={n}; "
             f"a dataset needs d >= 1 and n >= 1"
         )
+    if size is not None:
+        # a \r\n header end reads as one character, which only raises the bound
+        rows = (size - len(line) + 1) // (2 * (d + 1))
+        if n > rows:
+            raise ValueError(
+                f"{path}: line 1: header declares n={n} but the file can hold "
+                f"at most {rows} rows"
+            )
     return d, n, header.group(3) == "1"
 
 

@@ -19,6 +19,20 @@ copies a C-ordered matrix into Fortran order before LAPACK sees it, so
 symmetric equals its transpose, which is Fortran-ordered, so the transpose
 is what goes to LAPACK, which then works in place.
 
+The standard problem is solved for its full spectrum by LAPACK's MRRR
+driver ``evr`` (Dhillon & Parlett 2004). It uses the matrix as scratch and
+writes the eigenvectors to a buffer of their own, with O(n) workspace, so
+a solve holds two order-n matrices. The divide-and-conquer driver holds
+three: the matrix, which it overwrites with the eigenvectors, and a 2n^2
+workspace. After the solve the consumed matrix is freed, the leading k
+eigenvectors are copied out, and their signs are found a block of rows at
+a time and flipped in place, so nothing after the solve holds more than
+the solve did. MRRR is a little slower. On ``G G^T``, G an n x (n + 50)
+normal matrix, with one BLAS thread on a 2-vCPU Xeon, it took 0.61-0.62 s
+against divide and conquer's 0.56-0.57 s at n=1,430, 13-16 against 11-15
+ms at n=350, and 1.77-1.83 against 1.54-1.66 s at n=2,048 (the minimum of
+five interleaved calls, two runs).
+
 The generalized solver computes only the requested top-k pairs (LAPACK's
 expert driver ``gvx``) when ``8 * k <= n`` and the full spectrum (``gvd``)
 otherwise. With one BLAS thread, ``gvx`` took 0.59x of ``gvd``'s time at
@@ -102,11 +116,30 @@ def _max_asymmetry(m: np.ndarray) -> float:
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-magnitude component is positive."""
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+    """Flip column signs in place so the largest-magnitude component is positive.
+
+    A tie goes to the first such row. The leading entries are found a block
+    of rows at a time, so no magnitude matrix of the size of ``vectors`` is
+    formed.
+    """
+    n, k = vectors.shape
+    top = np.full(k, -1.0)
+    signs = np.ones(k)
+    columns = np.arange(k)
+    buffer = np.empty(k * min(n, _BLOCK))
+    for lo in range(0, n, _BLOCK):
+        block = vectors[lo:lo + _BLOCK]
+        # one row per column, so argmax runs along the last axis and copies nothing
+        magnitude = np.abs(block.T, out=buffer[:block.size].reshape(k, -1))
+        rows = np.argmax(magnitude, axis=1)
+        block_top = magnitude[columns, rows]
+        # strictly larger, so an earlier block keeps a tie
+        better = np.flatnonzero(block_top > top)
+        top[better] = block_top[better]
+        signs[better] = np.sign(block[rows[better], better])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors *= signs
+    return vectors
 
 
 def _eigh_descending(a: np.ndarray, b: np.ndarray | None = None,
@@ -121,7 +154,7 @@ def _eigh_descending(a: np.ndarray, b: np.ndarray | None = None,
     owned = {"overwrite_a": True, "overwrite_b": True, "check_finite": False}
     try:
         if b is None:
-            values, vectors = scipy.linalg.eigh(a.T, driver="evd", **owned)
+            values, vectors = scipy.linalg.eigh(a.T, driver="evr", **owned)
         elif k is None:
             values, vectors = scipy.linalg.eigh(a.T, b.T, **owned)
         else:
@@ -143,7 +176,8 @@ def sym_eig(m, k: int):
 
     Eigenvalues are returned in descending order; eigenvectors are unit-norm
     columns with canonical signs. Each pair satisfies
-    ``|m v - value * v| <= 1e-8 * |m|_F``. ``m`` is never written.
+    ``|m v - value * v| <= 1e-8 * |m|_F``. The full spectrum is computed by
+    LAPACK's MRRR driver ``evr``. ``m`` is never written.
     """
     return sym_eig_in_place(np.array(m, dtype=float, order="C"), k)
 
@@ -155,7 +189,10 @@ def sym_eig_in_place(m: np.ndarray, k: int):
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     values, vectors = _eigh_descending(m)
-    return values[:k].copy(), _canonical_signs(vectors[:, :k])
+    # LAPACK left only scratch in m: free it before the vectors are touched
+    del m
+    # signed in place, then copied, so the caller holds k columns, not n
+    return values[:k].copy(), _canonical_signs(vectors[:, :k]).copy(order="F")
 
 
 def gen_eig(a, b, k: int):

@@ -75,7 +75,10 @@ def reference_load(path):
     Decodes the whole file, splits it with ``str.splitlines`` and reads each
     token with ``float``. Returns ``(features, labels)``, labels None for an
     unlabeled file, or raises the loader's ``path: line N: ...`` errors: the
-    first faulty line wins, and within a line a byte above 0x7f wins.
+    first faulty line wins, and within a line a byte above 0x7f wins. A
+    header that declares more rows than the bytes after it can hold fails on
+    line 1: n rows of d + 1 one-byte tokens, each but the last followed by
+    one separator or line end, take 2 n (d + 1) - 1 bytes.
     ``splitlines`` also breaks lines at \v, \f and \x1c-\x1e, and
     ``str.split`` separates tokens at \x1c-\x1f, so this oracle holds only
     for files without those bytes.
@@ -96,6 +99,14 @@ def reference_load(path):
         raise ValueError(
             f"{path}: line 1: header declares d={d} n={n}; "
             f"a dataset needs d >= 1 and n >= 1"
+        )
+    # the bytes after the header line, its end counted as one byte as the
+    # loader reads it
+    body = os.path.getsize(path) - len(lines[0]) - 1
+    if 2 * n * (d + 1) - 1 > body:
+        raise ValueError(
+            f"{path}: line 1: header declares n={n} but the file can hold "
+            f"at most {max(body + 1, 0) // (2 * (d + 1))} rows"
         )
     features = np.empty((d, n), dtype=float)
     labels = np.empty(n, dtype=int) if labeled else None
@@ -214,6 +225,27 @@ def reference_select(classes, confidences, iteration, total_iterations, mode):
     return np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=int)
 
 
+def reference_sym_eig(m, k):
+    """Top-k eigenpairs of the symmetric ``m``; the oracle for ``sym_eig``.
+
+    The divide-and-conquer driver (``evd``) and the whole-matrix sign rule
+    that ``sym_eig`` used before it moved to MRRR (``evr``) and signs found a
+    block of rows at a time.
+    """
+    import scipy.linalg
+
+    values, vectors = scipy.linalg.eigh(np.array(m, dtype=float), driver="evd")
+    return values[::-1][:k].copy(), reference_canonical_signs(vectors[:, ::-1][:, :k])
+
+
+def reference_canonical_signs(vectors):
+    """Flip column signs so the largest-magnitude component is positive."""
+    lead = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+    signs[signs == 0] = 1.0
+    return vectors * signs
+
+
 def reference_pca_components(x, n_components):
     """d x k principal directions of the pooled d x n ``x``; the PCA oracle.
 
@@ -232,7 +264,7 @@ def reference_pca_components(x, n_components):
     keep = values > 1e-12 * values[0]
     values, vectors = values[keep], vectors[:, keep]
     if d > n:
-        vectors = linalg._canonical_signs(x @ (vectors / np.sqrt(values)))
+        vectors = reference_canonical_signs(x @ (vectors / np.sqrt(values)))
     return vectors
 
 
@@ -243,12 +275,10 @@ def reference_pca_coordinates(x, n_components):
     components carry it; on the Gram route each row, being a multiple of a
     Gram eigenvector, has its largest-magnitude entry positive.
     """
-    from splda import linalg
-
     coords = reference_pca_components(x, n_components).T @ (
         x - x.mean(axis=1, keepdims=True))
     if x.shape[0] > x.shape[1]:
-        coords = linalg._canonical_signs(coords.T).T
+        coords = reference_canonical_signs(coords.T).T
     return coords
 
 

@@ -316,6 +316,19 @@ class TestBaseline:
         acc = report["tasks"][0]["final_accuracy"]
         assert 0.0 <= acc <= 100.0
 
+    def test_overstated_header_is_a_line_1_task_error(self, pair_files, tmp_path, capsys):
+        src, _ = pair_files
+        bad = tmp_path / "big.txt"
+        bad.write_text("# d=4096 n=1000000000 labeled=1\n0 1.0\n")
+        report_path = tmp_path / "base.json"
+        code = main(["baseline-1nn", "--source", str(src), "--target", str(bad),
+                     "--report", str(report_path)])
+        assert code == 1
+        error = json.loads(report_path.read_text())["tasks"][0]["error"]
+        assert f"{bad}: line 1: header declares n=1000000000" in error
+        err = capsys.readouterr().err
+        assert "line 1: header declares" in err and "MemoryError" not in err
+
     def test_warnings_mirrored_to_stderr_and_report(self, tmp_path, capsys, recwarn):
         features = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         src = DomainDataset(features, labels=[0, 0, 1])

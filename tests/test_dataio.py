@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 import warnings
@@ -145,6 +146,44 @@ class TestLoadFeatures:
         assert _error(reference_load, path) == expected
         assert _error(load_features, path) == expected
 
+    def test_overstated_header_fails_on_line_1_before_allocating(self, tmp_path):
+        # the matrix this header declares would take 29.8 TiB
+        path = write(tmp_path, "# d=4096 n=1000000000 labeled=1\n0 1.0\n")
+        expected = (f"{path}: line 1: header declares n=1000000000 but the file "
+                    f"can hold at most 0 rows")
+        assert _error(reference_load, path) == expected
+        assert _error(load_features, path) == expected
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("final_eol", [True, False], ids=["ended", "unended"])
+    def test_header_capacity_admits_the_smallest_rows(self, tmp_path, eol, final_eol):
+        # one-byte tokens and single separators: the fewest bytes 3 rows take
+        path = tmp_path / "feats.txt"
+
+        def write_declaring(n):
+            rows = [f"# d=2 n={n} labeled=1", "0 1 2", "1 3 4", "2 5 6"]
+            path.write_bytes((eol.join(rows) + (eol if final_eol else "")).encode("ascii"))
+
+        write_declaring(3)
+        np.testing.assert_array_equal(load_features(path).features,
+                                      [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+        assert _error(reference_load, path) is None
+        write_declaring(4)
+        expected = f"{path}: line 1: header declares n=4 but the file can hold at most 3 rows"
+        assert _error(reference_load, path) == expected
+        assert _error(load_features, path) == expected
+
+    def test_pipe_is_read_without_a_size_check(self):
+        # a pipe reports size 0, so the header's n is checked against the rows read
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, GOOD.encode("ascii"))
+            os.close(write_end)
+            ds = load_features(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert ds.n_samples == 2
+
     def test_roundtrip_exact(self, tmp_path, rng):
         feats = rng.normal(size=(7, 11)) * 10.0 ** rng.integers(-8, 8, size=(7, 11))
         ds = DomainDataset(feats, labels=rng.integers(0, 4, size=11))
@@ -274,7 +313,7 @@ _GAPS = st.sampled_from([" ", "  ", "\t", " \t", "\t \t", "   "])
 _BAD_VALUES = ["abc", "1.2.3", "1e", "--1", "0x10", "1,5", ".", "1_5", "nan", "inf",
                "-Infinity", "1e999"]
 _MUTATIONS = ["value", "short", "long", "label", "duplicate_header", "surplus",
-              "missing"]
+              "missing", "overstated"]
 
 
 def _value_token(draw):
@@ -316,6 +355,8 @@ def feature_files(draw, mutate):
         rows.append(list(rows[i]))
     elif mutation == "missing":
         rows.pop(i)
+    elif mutation == "overstated":
+        header = f"# d={d} n={10**9} labeled={int(labeled)}"
     lines = [header]
     for j, tokens in enumerate(rows):
         lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=2)))

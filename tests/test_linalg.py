@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from splda import linalg
 from splda.linalg import NumericalError, gen_eig, solve_assignment, sym_eig
 
-from conftest import brute_force_assignment, random_spd, reference_lex_min_matching
+from conftest import (
+    brute_force_assignment,
+    random_spd,
+    reference_canonical_signs,
+    reference_lex_min_matching,
+    reference_sym_eig,
+)
 
 
 def charpoly_coeffs(a):
@@ -114,6 +122,42 @@ class TestSymEig:
         values, vectors = sym_eig(random_spd(rng, 8), 8)
         lead = np.argmax(np.abs(vectors), axis=0)
         assert np.all(vectors[lead, np.arange(8)] > 0)
+
+    @pytest.mark.parametrize("n, k", [(5, 5), (64, 20), (300, 300)])
+    def test_matches_evd_reference_on_separated_spectra(self, rng, n, k):
+        # eigenvalues one apart, negatives included, in random order
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        m = (q * rng.permutation(np.arange(n) - n / 2)) @ q.T
+        m = 0.5 * (m + m.T)
+        values, vectors = sym_eig(m, k)
+        ref_values, ref_vectors = reference_sym_eig(m, k)
+        assert np.abs(values - ref_values).max() <= 1e-10 * np.abs(ref_values).max()
+        # unit columns, so the entrywise error is relative to their norm
+        assert np.abs(vectors - ref_vectors).max() <= 1e-10
+
+    def test_sign_tie_goes_to_the_first_row(self):
+        # each column's largest magnitude appears with both signs: within one
+        # 256-row block, across two blocks, and with the positive entry first
+        vectors = np.zeros((600, 3))
+        vectors[[3, 7], 0] = [-0.5, 0.5]
+        vectors[[10, 400], 1] = [-0.5, 0.5]
+        vectors[[300, 500], 2] = [0.5, -0.5]
+        expected = reference_canonical_signs(vectors)
+        signed = linalg._canonical_signs(vectors.copy())
+        np.testing.assert_array_equal(signed, expected)
+        assert signed[3, 0] == signed[10, 1] == signed[300, 2] == 0.5
+
+    def test_signs_form_no_full_size_magnitude_matrix(self, rng):
+        vectors = rng.normal(size=(1024, 512))
+        expected = reference_canonical_signs(vectors)
+        tracemalloc.start()
+        try:
+            signed = linalg._canonical_signs(vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(signed, expected)
+        assert peak < vectors.nbytes / 2, (peak, vectors.nbytes)
 
     def test_rejects_non_finite(self):
         m = np.eye(3)

@@ -219,17 +219,18 @@ class TestPrepare:
             tracemalloc.stop()
         assert peak < pooled_bytes / 2, (peak, pooled_bytes)
 
-    def test_gram_route_eigensolve_works_in_the_gram_buffer(self):
-        # n=400 < d=1000: the peak stays below the n x n Gram matrix, a copy
-        # of it and dsyevd's 2 n^2 workspace, which an eigensolve that copies
-        # its input would hold all at once
+    def test_gram_route_peak_is_the_gram_matrix_and_one_eigenvector_buffer(self):
+        # n=400 < d=1000: the peak stays below the n x n Gram matrix, one n x n
+        # eigenvector buffer and one block of 256 rows. dsyevd's 2 n^2
+        # workspace, a copy of the Gram matrix, or the Gram matrix kept beside
+        # the n x 300 leading eigenvectors would exceed it
         src, tgt = gen_synthetic(4, 50, 1000, shift_magnitude=2.0, seed=27)
         n = src.n_samples + tgt.n_samples
-        bound = 4 * n * n * 8
+        bound = (2 * n + 256) * n * 8
         tracemalloc.start()
         try:
             # the raw features were allocated before tracing began
-            prepare(src, tgt, 20)
+            prepare(src, tgt, 300)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

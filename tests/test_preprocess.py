@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from splda.dataio import gen_synthetic
 from splda.preprocess import (
     RankTruncationWarning,
     ZeroVectorWarning,
@@ -162,6 +165,23 @@ class TestPcaFit:
         coords = pca_fit(parts_of(x), 4)
         residual = x - x.mean(axis=1, keepdims=True) - components @ coords
         assert np.abs(components.T @ residual).max() <= 1e-8
+
+    def test_scatter_route_peak_is_the_scatter_matrix_and_one_eigenvector_buffer(self):
+        # d=400 < n=480: the peak stays below the d x d scatter matrix, one
+        # d x d eigenvector buffer and one block of 256 columns. dsyevd's
+        # 2 d^2 workspace, a copy of the scatter matrix, or the scatter matrix
+        # kept beside the d x 300 leading eigenvectors would exceed it
+        src, tgt = gen_synthetic(4, 60, 400, shift_magnitude=2.0, seed=28)
+        d = src.dim
+        bound = (2 * d + 256) * d * 8
+        tracemalloc.start()
+        try:
+            # the raw features were allocated before tracing began
+            pca_fit([src.features, tgt.features], 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestL2Normalize:

@@ -12,8 +12,10 @@ on the Hungarian matching.
 Each eigensolver has two entries. ``sym_eig`` and ``gen_eig`` never write
 their arguments: they copy them once and call ``sym_eig_in_place`` and
 ``gen_eig_in_place``, which hand the matrices to LAPACK as its work
-buffers. The library calls the in-place entries on matrices it builds
-itself: PCA's scatter or Gram matrix and the SLPP pencil ``a``, ``b``. scipy
+buffers. ``sym_eig_in_place`` returns its vectors unsigned, as a view,
+and ``signed_copy`` signs and copies them once the matrix is freed. The
+library calls the in-place entries on matrices it builds itself: PCA's
+scatter or Gram matrix and the SLPP pencil ``a``, ``b``. scipy
 copies a C-ordered matrix into Fortran order before LAPACK sees it, so
 ``overwrite_a`` alone would not spare that copy. A matrix that is exactly
 symmetric equals its transpose, which is Fortran-ordered, so the transpose
@@ -24,10 +26,10 @@ driver ``evr`` (Dhillon & Parlett 2004). It uses the matrix as scratch and
 writes the eigenvectors to a buffer of their own, with O(n) workspace, so
 a solve holds two order-n matrices. The divide-and-conquer driver holds
 three: the matrix, which it overwrites with the eigenvectors, and a 2n^2
-workspace. After the solve the consumed matrix is freed, the leading k
-eigenvectors are copied out, and their signs are found a block of rows at
-a time and flipped in place, so nothing after the solve holds more than
-the solve did. MRRR is a little slower. On ``G G^T``, G an n x (n + 50)
+workspace. After the solve the frame that owns the consumed matrix frees
+it; then the signs of the leading k eigenvectors are found a block of rows
+at a time and flipped in place, and those k columns are copied out, so
+nothing after the solve holds more than the solve did. MRRR is a little slower. On ``G G^T``, G an n x (n + 50)
 normal matrix, with one BLAS thread on a 2-vCPU Xeon, it took 0.61-0.62 s
 against divide and conquer's 0.56-0.57 s at n=1,430, 13-16 against 11-15
 ms at n=350, and 1.77-1.83 against 1.54-1.66 s at n=2,048 (the minimum of
@@ -179,20 +181,38 @@ def sym_eig(m, k: int):
     ``|m v - value * v| <= 1e-8 * |m|_F``. The full spectrum is computed by
     LAPACK's MRRR driver ``evr``. ``m`` is never written.
     """
-    return sym_eig_in_place(np.array(m, dtype=float, order="C"), k)
+    m = np.array(m, dtype=float, order="C")
+    values, vectors = sym_eig_in_place(m, k)
+    # LAPACK left only scratch in m: free it before the vectors are copied out
+    del m
+    return values, signed_copy(vectors)
 
 
 def sym_eig_in_place(m: np.ndarray, k: int):
-    """:func:`sym_eig` of a C-ordered float matrix, which it overwrites."""
+    """Solve :func:`sym_eig` in a C-ordered float matrix, which it overwrites.
+
+    Returns the top k values and, unsigned, a view of the top k columns of
+    LAPACK's order-n eigenvector buffer. The caller drops its last reference
+    to ``m``, which holds only scratch, and then passes the view to
+    :func:`signed_copy`. Only the frame that owns ``m`` can free it: before
+    Python 3.11 an argument stays referenced by its caller until the call
+    returns, so a ``del`` in here would free nothing.
+    """
     m = _checked_symmetric(m, "m")
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     values, vectors = _eigh_descending(m)
-    # LAPACK left only scratch in m: free it before the vectors are touched
-    del m
-    # signed in place, then copied, so the caller holds k columns, not n
-    return values[:k].copy(), _canonical_signs(vectors[:, :k]).copy(order="F")
+    return values[:k].copy(), vectors[:, :k]
+
+
+def signed_copy(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` with canonical signs, as a Fortran-ordered array of its own.
+
+    ``vectors`` is flipped in place first, so beside it only the returned
+    copy and one block of magnitudes are held.
+    """
+    return _canonical_signs(vectors).copy(order="F")
 
 
 def gen_eig(a, b, k: int):

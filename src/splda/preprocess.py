@@ -67,8 +67,11 @@ def pca_fit(parts, n_components: int) -> np.ndarray:
         blocks = _centred_row_blocks(parts, mean, n)
     order = min(d, n)
     # the summed matrix is the library's own, so it is solved in place
-    values, vectors = linalg.sym_eig_in_place(
-        linalg.symmetric_sum(blocks, np.zeros((order, order)), rows=d > n), n_components)
+    summed = linalg.symmetric_sum(blocks, np.zeros((order, order)), rows=d > n)
+    values, vectors = linalg.sym_eig_in_place(summed, n_components)
+    # LAPACK left only scratch in it: free it before the vectors are copied out
+    del summed
+    vectors = linalg.signed_copy(vectors)
     if values[0] <= 0.0:
         raise ValueError("pooled data has zero variance; PCA is undefined")
     keep = values > _RANK_CUTOFF * values[0]

@@ -8,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import itertools  # noqa: E402
 import math  # noqa: E402
 import re  # noqa: E402
+import weakref  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
@@ -244,6 +245,32 @@ def reference_canonical_signs(vectors):
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
+
+
+def watch_consumed_matrix(monkeypatch):
+    """Record, at each ``linalg.signed_copy``, whether the matrix solved is freed.
+
+    Returns the list of records. A weak reference to each matrix handed to
+    ``linalg.sym_eig_in_place`` is kept; holding one does not keep it alive.
+    This tells on any Python whether the frame that owns the matrix dropped
+    it before the vectors were copied out.
+    """
+    from splda import linalg
+
+    solved, freed = [], []
+    real_solve, real_copy = linalg.sym_eig_in_place, linalg.signed_copy
+
+    def solve(m, k):
+        solved.append(weakref.ref(m))
+        return real_solve(m, k)
+
+    def copy(vectors):
+        freed.append(solved.pop()() is None)
+        return real_copy(vectors)
+
+    monkeypatch.setattr(linalg, "sym_eig_in_place", solve)
+    monkeypatch.setattr(linalg, "signed_copy", copy)
+    return freed
 
 
 def reference_pca_components(x, n_components):

@@ -14,6 +14,7 @@ from conftest import (
     reference_canonical_signs,
     reference_lex_min_matching,
     reference_sym_eig,
+    watch_consumed_matrix,
 )
 
 
@@ -186,7 +187,12 @@ class TestSymEig:
         values, vectors = sym_eig(m, 6)
         in_place_values, in_place_vectors = linalg.sym_eig_in_place(m.copy(), 6)
         np.testing.assert_array_equal(in_place_values, values)
-        np.testing.assert_array_equal(in_place_vectors, vectors)
+        np.testing.assert_array_equal(linalg.signed_copy(in_place_vectors), vectors)
+
+    def test_copy_is_freed_before_the_vectors_are_copied_out(self, rng, monkeypatch):
+        freed = watch_consumed_matrix(monkeypatch)
+        sym_eig(random_spd(rng, 20), 6)
+        assert freed == [True]
 
 
 class TestGenEig:

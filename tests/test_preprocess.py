@@ -12,7 +12,11 @@ from splda.preprocess import (
     pca_fit,
 )
 
-from conftest import reference_pca_components, reference_pca_coordinates
+from conftest import (
+    reference_pca_components,
+    reference_pca_coordinates,
+    watch_consumed_matrix,
+)
 
 
 def scatter_add_class_sums(x, ids, n_classes):
@@ -165,6 +169,13 @@ class TestPcaFit:
         coords = pca_fit(parts_of(x), 4)
         residual = x - x.mean(axis=1, keepdims=True) - components @ coords
         assert np.abs(components.T @ residual).max() <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["scatter", "gram"])
+    def test_summed_matrix_is_freed_before_the_vectors_are_copied_out(
+            self, rng, monkeypatch, shape):
+        freed = watch_consumed_matrix(monkeypatch)
+        pca_fit(parts_of(rng.normal(size=shape)), 5)
+        assert freed == [True]
 
     def test_scatter_route_peak_is_the_scatter_matrix_and_one_eigenvector_buffer(self):
         # d=400 < n=480: the peak stays below the d x d scatter matrix, one

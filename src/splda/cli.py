@@ -22,7 +22,7 @@ import time
 import warnings
 from contextlib import contextmanager
 
-from .data import LABELING_MODES, RunConfig, SELECTION_MODES
+from .data import ABLATION_GRID, LABELING_MODES, RunConfig, SELECTION_MODES
 from .dataio import gen_synthetic, load_features, nn_baseline, save_features
 
 REPORT_SCHEMA_VERSION = 3
@@ -224,8 +224,7 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    configs = [_config(args, labeling, selection)
-               for labeling in LABELING_MODES for selection in SELECTION_MODES]
+    configs = [_config(args, labeling, selection) for labeling, selection in ABLATION_GRID]
     return _finish("ablate", _run_cells(_pairs(args), configs, args.jobs), args)
 
 

@@ -14,6 +14,9 @@ import numpy as np
 
 LABELING_MODES = ("ncp", "sp", "fused")
 SELECTION_MODES = ("none", "all", "progressive")
+# Every labeling mode under every selection mode, in report order.
+ABLATION_GRID = tuple((labeling, selection) for labeling in LABELING_MODES
+                      for selection in SELECTION_MODES)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

@@ -52,7 +52,8 @@ def load_features(path, domain: str = "source") -> DomainDataset:
     name its line and its fault. The first faulty line in the file is the
     one named, and within a line a byte above 0x7f is named before any
     other fault. A header that declares more rows than a regular file can
-    hold fails on line 1 before the matrix is allocated.
+    hold fails on line 1 before the matrix is allocated. A pipe has no size
+    to check, so its matrix grows with the rows read, up to the header's n.
     """
     if domain not in ("source", "target"):
         raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
@@ -62,8 +63,9 @@ def load_features(path, domain: str = "source") -> DomainDataset:
         # a pipe has no size to check against
         size = info.st_size if stat.S_ISREG(info.st_mode) else None
         d, n, labeled = _parse_header(path, fh.readline(), size)
-        features = np.empty((d, n), dtype=float)
-        labels = np.empty(n, dtype=int) if labeled else None
+        room = n if size is not None else 1
+        features = np.empty((d, room), dtype=float)
+        labels = np.empty(room, dtype=int) if labeled else None
         row = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip(_BLANK):
@@ -76,6 +78,8 @@ def load_features(path, domain: str = "source") -> DomainDataset:
                     and values.size == d + 1 and "_" not in line and label is not None
                     and (0 <= label <= _LABEL_MAX if labeled else label == -1)
                     and np.isfinite(values).all()):
+                if row == features.shape[1]:
+                    features, labels = _grown(features, labels, n)
                 features[:, row] = values[1:]
                 if labeled:
                     labels[row] = label
@@ -88,6 +92,17 @@ def load_features(path, domain: str = "source") -> DomainDataset:
     if domain == "target":
         return DomainDataset(features, labels=None, eval_labels=labels, domain="target")
     return DomainDataset(features, labels=labels, domain="source")
+
+
+def _grown(features, labels, n: int):
+    """Full ``(features, labels)`` copied into room for twice their rows, at most n."""
+    rows = features.shape[1]
+    room = min(2 * rows, n)
+    grown = np.empty((features.shape[0], room), dtype=float)
+    grown[:, :rows] = features
+    if labels is not None:
+        labels = np.concatenate([labels, np.empty(room - rows, dtype=int)])
+    return grown, labels
 
 
 def _parse_header(path, line: str, size: int | None):

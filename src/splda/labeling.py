@@ -1,26 +1,27 @@
-"""Pseudo-label probabilities from class prototypes and target clusters.
+"""Pseudo-labels from class prototypes and target clusters.
 
 Two complementary views produce per-class conditional probabilities for
-every target sample: distances to source class prototypes, and distances
-to K-means cluster centers that have been matched one-to-one with the
-classes. Fusing the two tables takes the elementwise maximum. Prototypes
+every target sample: distances to source class prototypes (ncp), and
+distances to K-means cluster centers that have been matched one-to-one with
+the classes (sp). Fusing tables takes their elementwise maximum. Prototypes
 and centers are d x C matrices with one column per class.
+:func:`pseudo_label` is the one place that reads the labeling mode: it
+builds the tables that mode names and labels every target from them.
 """
 
 import numpy as np
 
+from .data import LABELING_MODES
 from .linalg import solve_assignment
 from .preprocess import class_sums, l2_normalize_columns
 
 KMEANS_MAX_ITER = 100
 
 
-def compute_prototypes(embedded, labels, n_classes: int | None = None) -> np.ndarray:
+def compute_prototypes(embedded, labels, n_classes: int) -> np.ndarray:
     """d x C matrix of per-class means of embedded source columns, L2-normalized."""
     x = np.asarray(embedded, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=n_classes)
     if (counts == 0).any():
         missing = np.flatnonzero(counts == 0).tolist()
@@ -135,25 +136,36 @@ def match_clusters(centers, protos) -> np.ndarray:
     return by_class
 
 
-def fuse_and_label(p1, p2, mode: str):
-    """Per-sample ``(classes, confidences)`` from the probability tables.
+def pseudo_label(tgt_embedded, protos, mode: str):
+    """Per-sample ``(classes, confidences)`` of the targets under ``mode``.
 
-    ``ncp`` uses p1 alone, ``sp`` uses p2 alone, ``fused`` takes the
-    elementwise maximum of both. The label is the argmax class (ties go to
-    the smallest class id) and the confidence is the winning probability.
+    ``ncp`` reads the prototype table, ``sp`` the table of the k-means
+    centers matched to the classes, and ``fused`` both.
     """
-    if mode == "ncp":
-        table = np.asarray(p1, dtype=float)
-    elif mode == "sp":
-        table = np.asarray(p2, dtype=float)
-    elif mode == "fused":
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        if p1.shape != p2.shape:
-            raise ValueError(f"table shape mismatch: {p1.shape} vs {p2.shape}")
-        table = np.maximum(p1, p2)
-    else:
+    if mode not in LABELING_MODES:
         raise ValueError(f"unknown labeling mode {mode!r}")
+    tables = []
+    if mode in ("ncp", "fused"):
+        tables.append(ncp_probabilities(tgt_embedded, protos))
+    if mode in ("sp", "fused"):
+        centers, _ = kmeans_clusters(tgt_embedded, protos)
+        tables.append(sp_probabilities(tgt_embedded, match_clusters(centers, protos)))
+    return fuse_and_label(*tables)
+
+
+def fuse_and_label(table, *others):
+    """Per-sample ``(classes, confidences)`` from one or more probability tables.
+
+    The tables are fused by their elementwise maximum. The label is the
+    argmax class (ties go to the smallest class id) and the confidence is
+    the winning probability.
+    """
+    table = np.asarray(table, dtype=float)
+    for other in others:
+        other = np.asarray(other, dtype=float)
+        if other.shape != table.shape:
+            raise ValueError(f"table shape mismatch: {table.shape} vs {other.shape}")
+        table = np.maximum(table, other)
     classes = np.argmax(table, axis=1)
     confidences = table[np.arange(table.shape[0]), classes]
     return classes, confidences

@@ -4,9 +4,11 @@ A run prepares its pair once (validation, PCA on the pooled data and L2
 normalization; see :func:`prepare`), fits the aligned subspace on source
 data alone, pseudo-labels every target sample, then alternates for
 a fixed number of iterations between admitting a growing high-confidence
-subset of pseudo-labels into the fit and relabeling all targets. Target
-ground truth is consulted only to fill the accuracy fields of the
-per-iteration snapshots; predictions never depend on it.
+subset of pseudo-labels into the fit and relabeling all targets. An
+iteration that selects nothing keeps the source-only fit and its labels,
+since a fit on no pseudo-labels is that fit. Target ground truth is
+consulted only to fill the accuracy fields of the per-iteration snapshots;
+predictions never depend on it.
 """
 
 import warnings
@@ -14,23 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (
-    DomainDataset,
-    LABELING_MODES,
-    RunConfig,
-    SELECTION_MODES,
-    as_count,
-    validate_pair,
-)
+from .data import ABLATION_GRID, DomainDataset, RunConfig, as_count, validate_pair
 from .dataio import evaluate, nn_baseline  # noqa: F401 - nn_baseline is re-exported
-from .labeling import (
-    compute_prototypes,
-    fuse_and_label,
-    kmeans_clusters,
-    match_clusters,
-    ncp_probabilities,
-    sp_probabilities,
-)
+from .labeling import compute_prototypes, pseudo_label
 from .preprocess import l2_normalize_columns, pca_fit
 from .selection import select
 from .subspace import SlppModel, embed, slpp_fit
@@ -79,16 +67,6 @@ class AdaptationResult:
             "predictions": self.predictions.tolist(),
             "warnings": list(self.warnings),
         }
-
-
-def _pseudo_label_all(tgt_embedded, protos, mode: str):
-    """``(classes, confidences)`` of every target sample."""
-    p1 = ncp_probabilities(tgt_embedded, protos) if mode in ("ncp", "fused") else None
-    p2 = None
-    if mode in ("sp", "fused"):
-        centers, _ = kmeans_clusters(tgt_embedded, protos)
-        p2 = sp_probabilities(tgt_embedded, match_clusters(centers, protos))
-    return fuse_and_label(p1, p2, mode)
 
 
 @dataclass(frozen=True)
@@ -178,7 +156,7 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
             zs = embed(model, xs)
             zt = embed(model, xt)
             protos = compute_prototypes(zs, ys, prepared.n_classes)
-            return _pseudo_label_all(zt, protos, config.labeling)
+            return pseudo_label(zt, protos, config.labeling)
 
         def snapshot(k: int, n_selected: int, classes: np.ndarray) -> IterationSnapshot:
             acc = None if truth is None else evaluate(classes, truth)
@@ -187,15 +165,19 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
         nothing = np.empty(0, dtype=int)
         model = fit(nothing, nothing)
         classes, confidences = label_all(model)
+        source_only = model, classes, confidences
         snapshots = [snapshot(0, 0, classes)]
         for k in range(1, config.iterations + 1):
-            if config.selection == "none":
-                # no pseudo-label ever joins the fit: the source-only model stands
-                snapshots.append(replace(snapshots[0], iteration=k))
-                continue
             chosen = select(classes, confidences, k, config.iterations, config.selection)
-            model = fit(chosen, classes)
-            classes, confidences = label_all(model)
+            if chosen.size:
+                # free the last fit first, so that keeping the source-only one
+                # costs no memory
+                del model
+                model = fit(chosen, classes)
+                classes, confidences = label_all(model)
+            else:
+                # a fit on no pseudo-labels is the source-only fit
+                model, classes, confidences = source_only
             snapshots.append(snapshot(k, chosen.size, classes))
     return AdaptationResult(
         predictions=np.asarray(prepared.label_names)[classes],
@@ -208,17 +190,15 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
 
 def run_ablation(src: DomainDataset, tgt: DomainDataset,
                  base_config: RunConfig) -> dict:
-    """Run the full labeling-mode x selection-mode grid on one pair.
+    """Run every cell of :data:`~splda.data.ABLATION_GRID` on one pair.
 
     The pair is prepared once (validation, PCA at ``base_config.pca_dim``
     and normalization) and all nine cells run on it. Returns a dict keyed
-    by (labeling, selection). With selection "none" no pseudo-labels ever
-    join the fit, so every iteration reuses the source-only projection.
+    by (labeling, selection).
     """
     prepared = prepare(src, tgt, base_config.pca_dim)
     return {
         (labeling, selection): run_prepared(
             prepared, replace(base_config, labeling=labeling, selection=selection))
-        for labeling in LABELING_MODES
-        for selection in SELECTION_MODES
+        for labeling, selection in ABLATION_GRID
     }

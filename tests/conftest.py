@@ -183,25 +183,41 @@ def _is_decimal(token):
 def reference_kmeans(x, centers, max_iter):
     """Lloyd sweeps with ``cdist`` tables and a per-cluster mean loop.
 
-    The oracle for ``kmeans_clusters``, reseeding emptied clusters the same
-    way. Returns ``(centers, membership)``.
+    The oracle for ``kmeans_clusters``, reseeding emptied clusters by
+    ``reference_reseed``. Returns ``(centers, membership)``.
     """
     from scipy.spatial.distance import cdist
-
-    from splda.labeling import _reseed_empty
 
     centers = np.array(centers, dtype=float)
     k = centers.shape[1]
     assign = None
     for _ in range(max_iter):
         sq = cdist(x.T, centers.T) ** 2
-        new_assign = _reseed_empty(sq, np.argmin(sq, axis=1), k)
+        new_assign = reference_reseed(sq, np.argmin(sq, axis=1), k)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
         for c in range(k):
             centers[:, c] = x[:, assign == c].mean(axis=1)
     return centers, assign
+
+
+def reference_reseed(sq_dists, assign, k):
+    """``assign`` with each empty cluster, in id order, given one sample.
+
+    The sample taken is the one farthest from its own center among those
+    whose cluster keeps another member; a tie goes to the smaller index.
+    The oracle for ``kmeans_clusters``' reseeding.
+    """
+    assign = assign.copy()
+    own = sq_dists[np.arange(assign.size), assign]
+    for c in range(k):
+        if (assign == c).any():
+            continue
+        movable = [i for i in range(assign.size) if (assign == assign[i]).sum() >= 2]
+        if movable:
+            assign[max(movable, key=lambda i: (own[i], -i))] = c
+    return assign
 
 
 def reference_select(classes, confidences, iteration, total_iterations, mode):
@@ -280,14 +296,12 @@ def reference_pca_components(x, n_components):
     Gram eigenvectors w are mapped to ``x w / sqrt(value)`` and given
     ``sym_eig``'s sign rule in d dimensions. ``x`` is left as it is.
     """
-    from splda import linalg
-
     x = x - x.mean(axis=1, keepdims=True)
     d, n = x.shape
     if d <= n:
-        values, vectors = linalg.sym_eig(x @ x.T, n_components)
+        values, vectors = reference_sym_eig(x @ x.T, n_components)
     else:
-        values, vectors = linalg.sym_eig(x.T @ x, n_components)
+        values, vectors = reference_sym_eig(x.T @ x, n_components)
     keep = values > 1e-12 * values[0]
     values, vectors = values[keep], vectors[:, keep]
     if d > n:
@@ -326,6 +340,109 @@ def reference_pencil(x, labels):
     b = a - sums @ sums.T
     b.flat[::b.shape[0] + 1] += 1.0
     return a, b
+
+
+# Top two final probabilities (or two confidences on either side of a
+# selection cut) this close may be ordered either way by two correct
+# implementations, since their rounding differs; see ``reference_run``.
+NEAR_TIE = 1e-9
+
+
+def reference_run(src, tgt, config):
+    """The adaptation loop from the paper's equations; the oracle for ``run``.
+
+    Calls no splda kernel and keeps dense copies: PCA diagonalizes the
+    scatter matrix of the pooled, centred columns; SLPP builds the m x m
+    label-equality graph W, with D its degree matrix and L = D - W, and
+    solves ``X D X^T p = value (X L X^T + I) p`` for the whole spectrum;
+    ncp and sp are softmaxes of negative ``cdist`` distances to the
+    prototypes and to ``reference_kmeans`` centers matched to them by
+    ``brute_force_assignment``; selection is ``reference_select``. Every
+    iteration refits, an empty selection included.
+
+    Returns a dict: ``predictions`` in the caller's ids, ``selected_counts``
+    with one entry per iteration (0 first), ``exempt``, the targets whose
+    top two final probabilities lie within ``NEAR_TIE`` (either class is
+    right for them), and ``tie_at``, the first labeling before the last
+    that has such a target or that puts the cut of a class's selection
+    between confidences within ``NEAR_TIE`` (None if none does). A tie
+    there may send a correct run either way, so nothing after it can be
+    compared.
+    """
+    import scipy.linalg
+    from scipy.spatial.distance import cdist
+
+    extras = [y for y in (src.eval_labels, tgt.eval_labels) if y is not None]
+    vocab = np.unique(np.concatenate([src.labels, *extras]))
+    ys = np.searchsorted(vocab, src.labels)
+    n_classes, ns, total = vocab.size, src.n_samples, config.iterations
+
+    def unit(x):
+        norms = np.linalg.norm(x, axis=0)
+        return x / np.where(norms == 0.0, 1.0, norms)
+
+    def softmax_neg(dists):
+        e = np.exp(-(dists - dists.min(axis=1, keepdims=True)))
+        return e / e.sum(axis=1, keepdims=True)
+
+    pooled = np.hstack([src.features, tgt.features])
+    centred = pooled - pooled.mean(axis=1, keepdims=True)
+    values, vectors = np.linalg.eigh(centred @ centred.T)
+    values, vectors = values[::-1][:config.pca_dim], vectors[:, ::-1][:, :config.pca_dim]
+    x = unit(vectors[:, values > 1e-12 * values[0]].T @ centred)
+    xs, xt = x[:, :ns], x[:, ns:]
+    mean = x.mean(axis=1, keepdims=True)
+    dim = min(config.subspace_dim, x.shape[0])
+
+    def fit(chosen, classes):
+        labeled = np.hstack([xs, xt[:, chosen]])
+        y = np.concatenate([ys, classes[chosen]])
+        w = (y[:, None] == y[None, :]).astype(float)
+        deg = np.diag(w.sum(axis=1))
+        a = labeled @ deg @ labeled.T
+        b = labeled @ (deg - w) @ labeled.T + np.eye(x.shape[0])
+        p = scipy.linalg.eigh(a, b)[1][:, ::-1][:, :dim]
+        return p / np.linalg.norm(p, axis=0)
+
+    def label(p):
+        zs, zt = unit(p.T @ (xs - mean)), unit(p.T @ (xt - mean))
+        protos = unit(np.stack([zs[:, ys == c].mean(axis=1) for c in range(n_classes)],
+                               axis=1))
+        tables = []
+        if config.labeling in ("ncp", "fused"):
+            tables.append(softmax_neg(cdist(zt.T, protos.T)))
+        if config.labeling in ("sp", "fused"):
+            centers, _ = reference_kmeans(zt, protos, 100)
+            matched = np.empty_like(centers)
+            matched[:, brute_force_assignment(cdist(centers.T, protos.T))[0]] = centers
+            tables.append(softmax_neg(cdist(zt.T, matched.T)))
+        table = np.maximum.reduce(tables)
+        classes = np.argmax(table, axis=1)
+        top_two = np.sort(table, axis=1)[:, -2:]
+        return classes, table[np.arange(classes.size), classes], \
+            top_two[:, 1] - top_two[:, 0] <= NEAR_TIE
+
+    def cut_is_near_tie(classes, confidences, k):
+        for c in np.unique(classes):
+            ranked = np.sort(confidences[classes == c])[::-1]
+            quota = (k * ranked.size) // total
+            if 0 < quota < ranked.size and ranked[quota - 1] - ranked[quota] <= NEAR_TIE:
+                return True
+        return False
+
+    nothing = np.empty(0, dtype=int)
+    classes, confidences, near = label(fit(nothing, nothing))
+    counts, tie_at = [0], None
+    for k in range(1, total + 1):
+        if tie_at is None and config.selection != "none" and (
+                near.any() or config.selection == "progressive"
+                and cut_is_near_tie(classes, confidences, k)):
+            tie_at = k - 1
+        chosen = reference_select(classes, confidences, k, total, config.selection)
+        classes, confidences, near = label(fit(chosen, classes))
+        counts.append(chosen.size)
+    return {"predictions": vocab[classes], "selected_counts": counts,
+            "exempt": near, "tie_at": tie_at}
 
 
 def random_spd(rng, n, shift=None):

@@ -90,7 +90,7 @@ def test_criterion_2_equation_level_properties():
         checks.append(np.abs(p2.sum(axis=1) - 1.0).max() <= 1e-10)
         table = np.maximum(p1, p2)
         direct = table[np.arange(table.shape[0]), np.argmax(table, axis=1)]
-        classes, confidences = fuse_and_label(p1, p2, "fused")
+        classes, confidences = fuse_and_label(p1, p2)
         checks.append(np.array_equal(confidences, direct))
         checks.append(np.array_equal(classes, np.argmax(table, axis=1)))
 

@@ -1,5 +1,6 @@
 import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -18,6 +19,27 @@ def write(tmp_path, text, name="feats.txt"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def load_through_pipe(text, **kwargs):
+    """``load_features`` of ``text`` read from a pipe, which has no size."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(text.encode("ascii"))
+        except BrokenPipeError:
+            pass  # the loader stopped at a fault before the end
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_features(f"/dev/fd/{read_end}", **kwargs)
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 GOOD = "# d=3 n=2 labeled=1\n0 0.5 1.25 -3.0\n1 1.0 0.0 2.5\n"
@@ -183,6 +205,43 @@ class TestLoadFeatures:
         finally:
             os.close(read_end)
         assert ds.n_samples == 2
+
+    def test_pipe_with_an_overstated_header_fails_on_its_first_row(self):
+        # the matrix this header declares would take 29.8 TiB; a pipe has no
+        # size to check, so the short row on line 2 is the first fault seen
+        text = "# d=4096 n=1000000000 labeled=1\n0 1.0\n"
+        with pytest.raises(ValueError) as got:
+            load_through_pipe(text)
+        assert re.fullmatch(r"/dev/fd/\d+: line 2: expected 4097 columns "
+                            r"\(label \+ 4096 features\), found 2", str(got.value))
+
+    def test_pipe_memory_follows_the_rows_read(self):
+        text = "# d=4 n=1000000 labeled=1\n" + "0 1 2 3 4\n" * 3
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expected n=1000000 samples, found 3"):
+                load_through_pipe(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+
+    @pytest.mark.parametrize("labeled, domain", [(True, "source"), (True, "target"),
+                                                 (False, "target")])
+    def test_pipe_loads_like_the_file(self, tmp_path, rng, labeled, domain):
+        n = 600
+        labels = rng.integers(0, 7, size=n) if labeled else None
+        ds = DomainDataset(rng.normal(size=(5, n)), labels=labels)
+        path = tmp_path / "feats.txt"
+        save_features(ds, path)
+        from_file = load_features(path, domain=domain)
+        from_pipe = load_through_pipe(path.read_text(), domain=domain)
+        for channel in ("features", "labels", "eval_labels"):
+            a, b = getattr(from_file, channel), getattr(from_pipe, channel)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
 
     def test_roundtrip_exact(self, tmp_path, rng):
         feats = rng.normal(size=(7, 11)) * 10.0 ** rng.integers(-8, 8, size=(7, 11))

@@ -11,6 +11,7 @@ from splda.labeling import (
     kmeans_clusters,
     match_clusters,
     ncp_probabilities,
+    pseudo_label,
     sp_probabilities,
 )
 from splda.preprocess import ZeroVectorWarning
@@ -36,14 +37,14 @@ def euclidean_rows(points, centers):
 class TestComputePrototypes:
     def test_single_sample_per_class(self):
         x = np.array([[3.0, 0.0], [4.0, 2.0]])
-        protos = compute_prototypes(x, [0, 1])
+        protos = compute_prototypes(x, [0, 1], 2)
         np.testing.assert_allclose(protos[:, 0], [0.6, 0.8])
         np.testing.assert_allclose(protos[:, 1], [0.0, 1.0])
 
     def test_antipodal_cancellation_warns(self):
         x = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.warns(ZeroVectorWarning):
-            protos = compute_prototypes(x, [0, 0, 1])
+            protos = compute_prototypes(x, [0, 0, 1], 2)
         np.testing.assert_allclose(protos[:, 0], [0.0, 0.0])
 
     def test_matches_mean_then_normalize_oracle(self, rng):
@@ -257,23 +258,21 @@ class TestSpProbabilities:
 class TestFuseAndLabel:
     def test_elementwise_max_example(self):
         classes, confidences = fuse_and_label(np.array([[0.7, 0.3]]),
-                                              np.array([[0.2, 0.8]]), "fused")
+                                              np.array([[0.2, 0.8]]))
         assert classes.tolist() == [1]
         assert confidences.tolist() == [0.8]
 
     def test_identical_tables_match_single_modes(self, rng):
         p = rng.dirichlet(np.ones(4), size=10)
-        fused = fuse_and_label(p, p, "fused")
-        ncp = fuse_and_label(p, None, "ncp")
-        sp = fuse_and_label(None, p, "sp")
-        np.testing.assert_array_equal(fused[0], ncp[0])
-        np.testing.assert_array_equal(fused[0], sp[0])
-        np.testing.assert_array_equal(fused[1], ncp[1])
+        fused = fuse_and_label(p, p)
+        single = fuse_and_label(p)
+        np.testing.assert_array_equal(fused[0], single[0])
+        np.testing.assert_array_equal(fused[1], single[1])
 
     def test_fused_argmax_equals_concatenated_argmax(self, rng):
         p1 = rng.dirichlet(np.ones(5), size=30)
         p2 = rng.dirichlet(np.ones(5), size=30)
-        classes, _ = fuse_and_label(p1, p2, "fused")
+        classes, _ = fuse_and_label(p1, p2)
         stacked = np.hstack([p1, p2])
         expected = np.argmax(stacked, axis=1) % 5
         np.testing.assert_array_equal(classes, expected)
@@ -281,18 +280,39 @@ class TestFuseAndLabel:
     def test_fused_confidence_dominates_both_modes(self, rng):
         p1 = rng.dirichlet(np.ones(3), size=20)
         p2 = rng.dirichlet(np.ones(3), size=20)
-        _, fused = fuse_and_label(p1, p2, "fused")
-        assert np.all(fused >= fuse_and_label(p1, None, "ncp")[1])
-        assert np.all(fused >= fuse_and_label(None, p2, "sp")[1])
+        _, fused = fuse_and_label(p1, p2)
+        assert np.all(fused >= fuse_and_label(p1)[1])
+        assert np.all(fused >= fuse_and_label(p2)[1])
 
     def test_tie_goes_to_smaller_class(self):
-        classes, _ = fuse_and_label(np.array([[0.5, 0.5]]), None, "ncp")
+        classes, _ = fuse_and_label(np.array([[0.5, 0.5]]))
         assert classes.tolist() == [0]
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="labeling mode"):
-            fuse_and_label(np.ones((1, 2)), np.ones((1, 2)), "vote")
+        classes, _ = fuse_and_label(np.array([[0.3, 0.7]]), np.array([[0.7, 0.3]]))
+        assert classes.tolist() == [0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            fuse_and_label(np.ones((2, 2)) / 2, np.ones((2, 3)) / 3, "fused")
+            fuse_and_label(np.ones((2, 2)) / 2, np.ones((2, 3)) / 3)
+
+
+class TestPseudoLabel:
+    @staticmethod
+    def tables(z, protos):
+        centers, _ = kmeans_clusters(z, protos)
+        return {"ncp": ncp_probabilities(z, protos),
+                "sp": sp_probabilities(z, match_clusters(centers, protos))}
+
+    @pytest.mark.parametrize("mode, read", [("ncp", ["ncp"]), ("sp", ["sp"]),
+                                            ("fused", ["ncp", "sp"])])
+    def test_labels_from_the_tables_the_mode_reads(self, rng, mode, read):
+        z = rng.normal(size=(4, 40)) + np.repeat(rng.normal(size=(4, 5)) * 2.0, 8, axis=1)
+        protos = rng.normal(size=(4, 5))
+        tables = self.tables(z, protos)
+        classes, confidences = pseudo_label(z, protos, mode)
+        expected = fuse_and_label(*(tables[name] for name in read))
+        np.testing.assert_array_equal(classes, expected[0])
+        np.testing.assert_array_equal(confidences, expected[1])
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="labeling mode"):
+            pseudo_label(np.eye(2), np.eye(2), "vote")

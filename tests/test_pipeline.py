@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from splda import dataio, linalg, pipeline
-from splda.data import LABELING_MODES, SELECTION_MODES, DomainDataset, RunConfig
+from splda.data import (ABLATION_GRID, LABELING_MODES, SELECTION_MODES, DomainDataset,
+                        RunConfig)
 from splda.dataio import _nearest, _nearest_by_blocks, evaluate, gen_synthetic
 from splda.pipeline import nn_baseline, prepare, run, run_ablation, run_prepared
 from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
+from splda.subspace import slpp_fit
 
-from conftest import reference_pca_coordinates
+from conftest import NEAR_TIE, reference_pca_coordinates, reference_run
 
 
 def easy_pair(seed=0, shift=0.0, separation=10.0):
@@ -77,12 +79,32 @@ class TestRun:
         assert len(accs) == 1
         assert all(s.selected_count == 0 for s in result.snapshots)
 
-    @pytest.mark.parametrize("selection", ["none", "all", "progressive"])
-    def test_slpp_fit_count(self, monkeypatch, selection):
+    # 25 targets per class: at iteration 1 of 30 every class quota is 0, so
+    # that iteration selects nothing and keeps the source-only fit
+    @pytest.mark.parametrize("selection, iterations, fits", [
+        ("none", 4, 1), ("all", 4, 5), ("progressive", 4, 5), ("progressive", 30, 30)],
+        ids=["none", "all", "progressive", "progressive-empty-first"])
+    def test_slpp_fit_count(self, monkeypatch, selection, iterations, fits):
         calls = count_calls(monkeypatch, pipeline, "slpp_fit")
         src, tgt = easy_pair(seed=4, shift=3.0)
-        run(src, tgt, easy_config(iterations=4, selection=selection))
-        assert len(calls) == (1 if selection == "none" else 5)
+        result = run(src, tgt, easy_config(iterations=iterations, selection=selection))
+        assert len(calls) == fits
+        empty = [s for s in result.snapshots[1:] if s.selected_count == 0]
+        assert len(empty) == 1 + iterations - fits
+        for s in empty:
+            assert s == replace(result.snapshots[0], iteration=s.iteration)
+
+    def test_fit_on_nothing_chosen_is_bit_identical(self):
+        # the premise of keeping the source-only fit for an empty selection
+        prepared = prepare(*easy_pair(seed=4, shift=3.0), 12)
+        xs, xt = prepared.source, prepared.target
+        mean = (xs.sum(axis=1) + xt.sum(axis=1)) / (xs.shape[1] + xt.shape[1])
+        nothing = np.empty(0, dtype=int)
+        first, second = (slpp_fit(xs, prepared.source_labels, 8, mean=mean, target=xt,
+                                    chosen=nothing, target_labels=nothing)
+                         for _ in range(2))
+        np.testing.assert_array_equal(first.projection, second.projection)
+        np.testing.assert_array_equal(first.embedding_mean, second.embedding_mean)
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=10**6),
@@ -316,6 +338,74 @@ def test_any_allowed_pair_predicts_or_fails_clearly(pair):
     assert first.predictions.shape == (tgt.n_samples,)
     assert np.isin(first.predictions, src.labels).all()
     np.testing.assert_array_equal(run(src, tgt, config).predictions, first.predictions)
+
+
+@st.composite
+def reference_cases(draw):
+    """A pair and a base config in the reference run's ranges.
+
+    2..6 classes with 2..15 samples each per side, sparse class ids, width
+    3..40, T 1..5. ``subspace_dim`` is at least 2: a one-dimensional
+    embedding normalizes every sample to +-1, so every decision would be an
+    exact tie. It is also either ``pca_dim`` or at most the source count.
+    In between, the subspace would keep only part of the eigenspace of the
+    pencil's zero eigenvalue, and which part is left to rounding.
+    """
+    n_classes = draw(st.integers(2, 6))
+    width = draw(st.integers(3, 40))
+    per_class = st.lists(st.integers(2, 15), min_size=n_classes, max_size=n_classes)
+    ys = np.repeat(np.arange(n_classes), draw(per_class))
+    yt = np.repeat(np.arange(n_classes), draw(per_class))
+    ids = np.array(draw(st.lists(st.integers(0, 2**40), min_size=n_classes,
+                                 max_size=n_classes, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = rng.normal(size=(width, n_classes)) * draw(st.floats(1.0, 6.0))
+    xs = means[:, ys] + rng.normal(size=(width, ys.size))
+    shift = rng.normal(size=(width, 1)) * draw(st.floats(0.0, 4.0))
+    xt = means[:, yt] + rng.normal(size=(width, yt.size)) + shift
+    pca_dim = draw(st.integers(2, min(width, ys.size + yt.size - 1)))
+    subspace_dim = draw(st.integers(2, min(pca_dim, ys.size)) | st.just(pca_dim))
+    config = RunConfig(pca_dim=pca_dim, subspace_dim=subspace_dim,
+                       iterations=draw(st.integers(1, 5)))
+    return (DomainDataset(xs, labels=ids[ys]),
+            DomainDataset(xt, eval_labels=ids[yt], domain="target"), config)
+
+
+def test_run_matches_reference_run():
+    # conftest.NEAR_TIE is the margin: the two sides' confidences were seen to
+    # differ by up to 8.5e-14, and a target whose top two probabilities lie
+    # within it is exempt from the prediction check
+    assert NEAR_TIE == 1e-9
+    tally = {"runs": 0, "cut_short": 0, "targets": 0, "exempt": 0}
+
+    @settings(max_examples=50, deadline=None)
+    @given(reference_cases())
+    def compare(case):
+        src, tgt, base = case
+        for labeling, selection in ABLATION_GRID:
+            config = replace(base, labeling=labeling, selection=selection)
+            expected = reference_run(src, tgt, config)
+            result = run(src, tgt, config)
+            counts = [s.selected_count for s in result.snapshots]
+            tally["runs"] += 1
+            tie_at = expected["tie_at"]
+            if tie_at is not None:
+                # selections up to iteration tie_at come from labelings before the tie
+                assert counts[:tie_at + 1] == expected["selected_counts"][:tie_at + 1]
+                tally["cut_short"] += 1
+                continue
+            assert counts == expected["selected_counts"], config
+            keep = ~expected["exempt"]
+            np.testing.assert_array_equal(result.predictions[keep],
+                                          expected["predictions"][keep], str(config))
+            tally["targets"] += keep.size
+            tally["exempt"] += int(expected["exempt"].sum())
+
+    compare()
+    # near ties are rare on these pairs; a margin that exempted many targets
+    # or cut many runs short would leave little compared
+    assert tally["exempt"] <= tally["targets"] // 100, tally
+    assert tally["cut_short"] <= tally["runs"] // 20, tally
 
 
 class TestRunAblation:

@@ -27,8 +27,8 @@ for snap in result.snapshots:
 
 print(f"\nfinal accuracy after {config.iterations} iterations: "
       f"{result.final_accuracy:.1f}%  (baseline {baseline:.1f}%)")
-print(f"learned projection: {result.model.projection.shape[0]} -> "
-      f"{result.model.projection.shape[1]} dimensions")
+# a subspace narrower than requested would be named here
+print(f"warnings: {list(result.warnings) or 'none'}")
 
 gain = result.final_accuracy - baseline
 print(f"adaptation gain over the baseline: {gain:+.1f} points")

@@ -17,6 +17,8 @@ SELECTION_MODES = ("none", "all", "progressive")
 # Every labeling mode under every selection mode, in report order.
 ABLATION_GRID = tuple((labeling, selection) for labeling in LABELING_MODES
                       for selection in SELECTION_MODES)
+# The largest label the int label vector holds.
+_LABEL_MAX = np.iinfo(int).max
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -44,9 +46,21 @@ def _check_label_vector(labels, n: int, channel: str) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
         raise ValueError(f"{channel} must be a length-{n} vector, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not np.all(labels == labels.astype(int)):
-            raise ValueError(f"{channel} must be integers")
+    integral = np.issubdtype(labels.dtype, np.integer)
+    # checked before the cast, which would wrap; float(_LABEL_MAX) rounds up
+    # to 2**63, the smallest float out of range
+    try:
+        too_large = labels > _LABEL_MAX if integral else labels >= float(_LABEL_MAX)
+    except TypeError:  # strings, or an object array of non-numbers
+        raise ValueError(f"{channel} must be integers") from None
+    if too_large.any():
+        raise ValueError(f"{channel} are out of range: the largest id is {_LABEL_MAX}")
+    if not integral:
+        # a non-finite or hugely negative float casts to a value unequal to
+        # itself, which is the test; the cast need not warn about it
+        with np.errstate(invalid="ignore"):
+            if not np.all(labels == labels.astype(int)):
+                raise ValueError(f"{channel} must be integers")
     if (labels < 0).any():
         raise ValueError(f"{channel} must be nonnegative class ids")
     return labels.astype(int)

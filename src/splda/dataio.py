@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .data import DomainDataset, validate_pair
+from .data import _LABEL_MAX, DomainDataset, validate_pair
 from .preprocess import l2_normalize_columns, unit_columns, warn_zero_columns
 
 # Tokens in a line are separated by runs of space, \t, \v and \f; lines end
@@ -28,9 +28,6 @@ _BLANK = " \t\v\f\n"
 _TOKEN_RE = re.compile(r"[^ \t\v\f\n]+")
 _HEADER_RE = re.compile(
     r"#[ \t\v\f]*d=(\d+)[ \t\v\f]+n=(\d+)[ \t\v\f]+labeled=([01])[ \t\v\f]*$")
-
-# The largest label the int label vector holds.
-_LABEL_MAX = np.iinfo(int).max
 
 # Targets the 1NN baseline normalizes and scores at a time.
 _NN_BLOCK = 256

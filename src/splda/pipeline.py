@@ -4,9 +4,11 @@ A run prepares its pair once (validation, PCA on the pooled data and L2
 normalization; see :func:`prepare`), fits the aligned subspace on source
 data alone, pseudo-labels every target sample, then alternates for
 a fixed number of iterations between admitting a growing high-confidence
-subset of pseudo-labels into the fit and relabeling all targets. An
-iteration that selects nothing keeps the source-only fit and its labels,
-since a fit on no pseudo-labels is that fit. Target ground truth is
+subset of pseudo-labels into the fit and relabeling all targets. Each fit
+and its relabeling are one step, and the SLPP model is dropped when the
+step returns, so only labels and confidences pass between iterations. An
+iteration that selects nothing keeps the source-only labels, since a fit
+on no pseudo-labels is the source-only fit. Target ground truth is
 consulted only to fill the accuracy fields of the per-iteration snapshots;
 predictions never depend on it.
 """
@@ -21,7 +23,7 @@ from .dataio import evaluate, nn_baseline  # noqa: F401 - nn_baseline is re-expo
 from .labeling import compute_prototypes, pseudo_label
 from .preprocess import l2_normalize_columns, pca_fit
 from .selection import select
-from .subspace import SlppModel, embed, slpp_fit
+from .subspace import embed, slpp_fit
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,13 @@ class AdaptationResult:
     """Final target predictions plus the per-iteration trace of the run.
 
     ``predictions`` are in the caller's class ids, not the dense ids used
-    internally.
+    internally. No SLPP model is kept: each one maps normalized PCA
+    coordinates that the result does not carry, and the labels are what
+    the method delivers.
     """
 
     predictions: np.ndarray
     snapshots: tuple
-    model: SlppModel
     config: RunConfig
     warnings: tuple = ()
 
@@ -55,9 +58,7 @@ class AdaptationResult:
         """A report task's JSON body; serializing it twice gives equal bytes.
 
         The CLI adds only ``source``, ``target``, ``status``, ``error`` and
-        ``wall_time_s`` to it. ``model`` is left out: its projection maps
-        PCA coordinates that the result does not carry, and its bits change
-        with the BLAS thread count while the predictions do not.
+        ``wall_time_s`` to it.
         """
         return {
             "config": self.config.to_dict(),
@@ -147,42 +148,31 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
         mean = (xs.sum(axis=1) + xt.sum(axis=1)) / (xs.shape[1] + xt.shape[1])
         subspace_dim = min(config.subspace_dim, xs.shape[0])
 
-        def fit(chosen: np.ndarray, classes: np.ndarray) -> SlppModel:
+        def fit_and_label(chosen: np.ndarray, classes: np.ndarray):
             # the source columns plus the chosen targets under their pseudo-labels
-            return slpp_fit(xs, ys, subspace_dim, mean=mean, target=xt, chosen=chosen,
-                            target_labels=classes[chosen])
-
-        def label_all(model: SlppModel):
-            zs = embed(model, xs)
-            zt = embed(model, xt)
-            protos = compute_prototypes(zs, ys, prepared.n_classes)
-            return pseudo_label(zt, protos, config.labeling)
+            model = slpp_fit(xs, ys, subspace_dim, mean=mean, target=xt, chosen=chosen,
+                             target_labels=classes[chosen])
+            protos = compute_prototypes(embed(model, xs), ys, prepared.n_classes)
+            return pseudo_label(embed(model, xt), protos, config.labeling)
 
         def snapshot(k: int, n_selected: int, classes: np.ndarray) -> IterationSnapshot:
             acc = None if truth is None else evaluate(classes, truth)
             return IterationSnapshot(iteration=k, selected_count=n_selected, accuracy=acc)
 
         nothing = np.empty(0, dtype=int)
-        model = fit(nothing, nothing)
-        classes, confidences = label_all(model)
-        source_only = model, classes, confidences
+        source_only = classes, confidences = fit_and_label(nothing, nothing)
         snapshots = [snapshot(0, 0, classes)]
         for k in range(1, config.iterations + 1):
             chosen = select(classes, confidences, k, config.iterations, config.selection)
             if chosen.size:
-                # free the last fit first, so that keeping the source-only one
-                # costs no memory
-                del model
-                model = fit(chosen, classes)
-                classes, confidences = label_all(model)
+                classes, confidences = fit_and_label(chosen, classes)
             else:
                 # a fit on no pseudo-labels is the source-only fit
-                model, classes, confidences = source_only
+                classes, confidences = source_only
             snapshots.append(snapshot(k, chosen.size, classes))
     return AdaptationResult(
         predictions=np.asarray(prepared.label_names)[classes],
         snapshots=tuple(snapshots),
-        model=model,
         config=config,
         warnings=prepared.warnings + tuple(str(w.message) for w in caught),
     )

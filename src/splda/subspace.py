@@ -9,12 +9,13 @@ Embeddings are centered on the mean of all source and target projections
 and then L2-normalized.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .preprocess import class_sums, l2_normalize_columns
+from .preprocess import _RANK_CUTOFF, RankTruncationWarning, class_sums, l2_normalize_columns
 
 # Labeled columns per scaled block of the pencil sum.
 _BLOCK = 256
@@ -87,6 +88,12 @@ def slpp_fit(source, labels, n_components: int, mean=None, *, target=None,
     their equality matters. ``mean`` is the d-vector mean of the full
     source+target data, and the embedding mean is its projection; it
     defaults to the mean of the labeled columns.
+
+    A direction that no labeled column reaches has eigenvalue 0, and any
+    basis of those directions is as good as another. So eigenpairs whose
+    value is at most 1e-12 of the largest are dropped, as PCA drops its
+    null directions, with a :class:`RankTruncationWarning` that names the
+    requested and kept counts.
     """
     source = np.asarray(source, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -109,8 +116,18 @@ def slpp_fit(source, labels, n_components: int, mean=None, *, target=None,
     if not 1 <= n_components <= d:
         raise ValueError(f"n_components must be in 1..{d}, got {n_components}")
     # the pencil is this fit's own, so it is solved in place
-    _, projection = linalg.gen_eig_in_place(
+    values, projection = linalg.gen_eig_in_place(
         *_pencil(source, labels, target, chosen, target_labels), n_components)
+    if values[0] <= 0.0:
+        raise ValueError("the labeled columns are all zero; SLPP is undefined")
+    kept = int(np.count_nonzero(values > _RANK_CUTOFF * values[0]))
+    if kept < n_components:
+        warnings.warn(
+            f"requested {n_components} SLPP components but the labeled columns "
+            f"have rank {kept}; truncating",
+            RankTruncationWarning,
+        )
+        projection = projection[:, :kept]
     if mean is None:
         picked = np.bincount(chosen, minlength=nt).astype(float)
         mean = (source.sum(axis=1) + target @ picked) / (ns + chosen.size)

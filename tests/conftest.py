@@ -354,7 +354,9 @@ def reference_run(src, tgt, config):
     Calls no splda kernel and keeps dense copies: PCA diagonalizes the
     scatter matrix of the pooled, centred columns; SLPP builds the m x m
     label-equality graph W, with D its degree matrix and L = D - W, and
-    solves ``X D X^T p = value (X L X^T + I) p`` for the whole spectrum;
+    solves ``X D X^T p = value (X L X^T + I) p`` for the whole spectrum and
+    keeps the top ``subspace_dim`` axes whose value exceeds 1e-12 of the
+    largest, as PCA keeps its axes;
     ncp and sp are softmaxes of negative ``cdist`` distances to the
     prototypes and to ``reference_kmeans`` centers matched to them by
     ``brute_force_assignment``; selection is ``reference_select``. Every
@@ -401,7 +403,10 @@ def reference_run(src, tgt, config):
         deg = np.diag(w.sum(axis=1))
         a = labeled @ deg @ labeled.T
         b = labeled @ (deg - w) @ labeled.T + np.eye(x.shape[0])
-        p = scipy.linalg.eigh(a, b)[1][:, ::-1][:, :dim]
+        values, vectors = scipy.linalg.eigh(a, b)
+        values, p = values[::-1][:dim], vectors[:, ::-1][:, :dim]
+        # the zero eigenspace holds the directions no labeled column reaches
+        p = p[:, values > 1e-12 * values[0]]
         return p / np.linalg.norm(p, axis=0)
 
     def label(p):

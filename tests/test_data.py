@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,30 @@ class TestDomainDataset:
     def test_rejects_negative_labels(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DomainDataset(np.ones((2, 2)), labels=[0, -1])
+
+    @pytest.mark.parametrize("channel", ["labels", "eval_labels"])
+    @pytest.mark.parametrize("ids", [np.array([2**63, 1], dtype=np.uint64),
+                                     np.array([2.0**63, 1.0])], ids=["uint64", "float"])
+    def test_rejects_labels_above_int64_before_any_cast(self, channel, ids):
+        # a cast would wrap 2**63 to a negative id, or warn and then call a
+        # whole float a non-integer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{channel} are out of range"):
+                DomainDataset(np.ones((2, 2)), **{channel: ids})
+
+    @pytest.mark.parametrize("ids", [np.array([np.nan, 1.0]), np.array([-1e30, 1.0]),
+                                     np.array(["0", "1"])], ids=["nan", "-1e30", "str"])
+    def test_rejects_non_integer_labels_without_a_warning(self, ids):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^labels must be integers"):
+                DomainDataset(np.ones((2, 2)), labels=ids)
+
+    def test_largest_int64_label_kept_unchanged(self):
+        ds = DomainDataset(np.ones((2, 2)),
+                           labels=np.array([2**63 - 1, 1], dtype=np.uint64))
+        assert ds.labels.tolist() == [2**63 - 1, 1]
 
     def test_rejects_unknown_domain(self):
         with pytest.raises(ValueError, match="domain"):

@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
+from splda.preprocess import RankTruncationWarning, ZeroVectorWarning, l2_normalize_columns
 from splda.subspace import _pencil, embed, slpp_fit
 
 from conftest import reference_pencil
@@ -209,6 +210,30 @@ class TestSlppFit:
         data = rng.normal(size=(4, 10))
         with pytest.raises(ValueError, match="n_components"):
             slpp_fit(data, np.zeros(10, dtype=int), 5)
+
+    @pytest.mark.parametrize("n_chosen", [0, 2])
+    def test_drops_the_zero_eigenspace_with_a_warning(self, rng, n_chosen):
+        # 5 labeled columns in 8 dimensions leave 3 directions that no labeled
+        # column reaches; their eigenvalue is 0 and any basis of them would do
+        data = rng.normal(size=(8, 5))
+        labels = np.array([0, 0, 1, 1, 2])
+        parts = as_parts(data, labels, 5 - n_chosen, rng)
+        source, source_labels, target, chosen, target_labels = parts
+        with pytest.warns(RankTruncationWarning,
+                          match="requested 7 SLPP components but the labeled "
+                                "columns have rank 5; truncating"):
+            model = slpp_fit(source, source_labels, 7, target=target, chosen=chosen,
+                             target_labels=target_labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full_rank = slpp_fit(source, source_labels, 5, target=target, chosen=chosen,
+                                 target_labels=target_labels)
+        assert model.projection.shape == (8, 5)
+        np.testing.assert_allclose(model.projection, full_rank.projection, atol=1e-10)
+
+    def test_rejects_all_zero_labeled_columns(self):
+        with pytest.raises(ValueError, match="labeled columns are all zero"):
+            slpp_fit(np.zeros((4, 6)), np.array([0, 0, 1, 1, 2, 2]), 2)
 
     def test_rejects_label_misalignment(self, rng):
         data = rng.normal(size=(4, 10))

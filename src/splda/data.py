@@ -46,11 +46,14 @@ def _check_label_vector(labels, n: int, channel: str) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
         raise ValueError(f"{channel} must be a length-{n} vector, got shape {labels.shape}")
+    if np.iscomplexobj(labels):  # a cast would drop the imaginary part
+        raise ValueError(f"{channel} must be integers")
     integral = np.issubdtype(labels.dtype, np.integer)
-    # checked before the cast, which would wrap; float(_LABEL_MAX) rounds up
-    # to 2**63, the smallest float out of range
+    # checked before the cast, which would wrap; the float64 bound rounds up
+    # to 2**63, the smallest float out of range, and a narrower float is
+    # compared in float64 rather than the bound cast down to its type
     try:
-        too_large = labels > _LABEL_MAX if integral else labels >= float(_LABEL_MAX)
+        too_large = labels > _LABEL_MAX if integral else labels >= np.float64(_LABEL_MAX)
     except TypeError:  # strings, or an object array of non-numbers
         raise ValueError(f"{channel} must be integers") from None
     if too_large.any():

@@ -5,8 +5,8 @@ normalization; see :func:`prepare`), fits the aligned subspace on source
 data alone, pseudo-labels every target sample, then alternates for
 a fixed number of iterations between admitting a growing high-confidence
 subset of pseudo-labels into the fit and relabeling all targets. Each fit
-and its relabeling are one step, and the SLPP model is dropped when the
-step returns, so only labels and confidences pass between iterations. An
+and its relabeling are one step, and the SLPP projection is dropped when
+the step returns, so only labels and confidences pass between iterations. An
 iteration that selects nothing keeps the source-only labels, since a fit
 on no pseudo-labels is the source-only fit. Target ground truth is
 consulted only to fill the accuracy fields of the per-iteration snapshots;
@@ -40,7 +40,7 @@ class AdaptationResult:
     """Final target predictions plus the per-iteration trace of the run.
 
     ``predictions`` are in the caller's class ids, not the dense ids used
-    internally. No SLPP model is kept: each one maps normalized PCA
+    internally. No SLPP projection is kept: each one maps normalized PCA
     coordinates that the result does not carry, and the labels are what
     the method delivers.
     """
@@ -144,16 +144,16 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
     truth = prepared.target_truth
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # the embedding mean is the projection of the pooled columns' mean
+        # every embedding is centred on the projection of the pooled columns' mean
         mean = (xs.sum(axis=1) + xt.sum(axis=1)) / (xs.shape[1] + xt.shape[1])
         subspace_dim = min(config.subspace_dim, xs.shape[0])
 
         def fit_and_label(chosen: np.ndarray, classes: np.ndarray):
             # the source columns plus the chosen targets under their pseudo-labels
-            model = slpp_fit(xs, ys, subspace_dim, mean=mean, target=xt, chosen=chosen,
-                             target_labels=classes[chosen])
-            protos = compute_prototypes(embed(model, xs), ys, prepared.n_classes)
-            return pseudo_label(embed(model, xt), protos, config.labeling)
+            projection = slpp_fit(xs, ys, subspace_dim, target=xt, chosen=chosen,
+                                  target_labels=classes[chosen])
+            protos = compute_prototypes(embed(projection, xs, mean), ys, prepared.n_classes)
+            return pseudo_label(embed(projection, xt, mean), protos, config.labeling)
 
         def snapshot(k: int, n_selected: int, classes: np.ndarray) -> IterationSnapshot:
             acc = None if truth is None else evaluate(classes, truth)

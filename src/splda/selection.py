@@ -26,16 +26,13 @@ def select(classes, confidences, iteration: int, total_iterations: int,
     if mode not in SELECTION_MODES:
         raise ValueError(f"selection mode must be one of {SELECTION_MODES}, got {mode!r}")
     classes = np.asarray(classes, dtype=int)
-    n = classes.size
-    if mode == "none":
-        return np.empty(0, dtype=int)
-    if mode == "all":
-        return np.arange(n)
-    index = np.arange(n)
+    index = np.arange(classes.size)
     order = np.lexsort((index, -np.asarray(confidences, dtype=float), classes))
     counts = np.bincount(classes)
     by_class = classes[order]
     # rank of each sorted row within its class: classes occupy contiguous runs
     rank = index - (np.cumsum(counts) - counts)[by_class]
-    quotas = (iteration * counts) // total_iterations
+    # none and all are the progressive quotas of iterations 0 and T
+    share = {"none": 0, "all": total_iterations, "progressive": iteration}[mode]
+    quotas = (share * counts) // total_iterations
     return np.sort(order[rank < quotas[by_class]])

@@ -5,12 +5,12 @@ domain. Its similarity graph connects two samples exactly when their labels
 match, so both scatter matrices of the induced generalized eigenproblem
 follow from per-class column sums; the m x m graph is never formed, and
 neither is a d x m copy of the labeled columns.
-Embeddings are centered on the mean of all source and target projections
-and then L2-normalized.
+A fit returns the d x k projection P. A sample x embeds as P^T x less the
+projection of the pooled mean of all source and target columns, then
+L2-normalized.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +19,6 @@ from .preprocess import _RANK_CUTOFF, RankTruncationWarning, class_sums, l2_norm
 
 # Labeled columns per scaled block of the pencil sum.
 _BLOCK = 256
-
-
-@dataclass(frozen=True)
-class SlppModel:
-    """Learned projection plus the mean used to center embeddings."""
-
-    projection: np.ndarray
-    embedding_mean: np.ndarray
-
-    @property
-    def n_components(self) -> int:
-        return self.projection.shape[1]
 
 
 def _pencil(source, labels, target, chosen, target_labels):
@@ -74,9 +62,9 @@ def _pencil(source, labels, target, chosen, target_labels):
     return a, b
 
 
-def slpp_fit(source, labels, n_components: int, mean=None, *, target=None,
-             chosen=(), target_labels=()) -> SlppModel:
-    """Fit the projection on the source columns plus chosen target columns.
+def slpp_fit(source, labels, n_components: int, *, target=None, chosen=(),
+             target_labels=()) -> np.ndarray:
+    """The d x k projection fitted on the source plus chosen target columns.
 
     The labeled columns are all of ``source`` under ``labels`` and, when
     ``target`` is given, its ``chosen`` columns under ``target_labels``
@@ -85,9 +73,8 @@ def slpp_fit(source, labels, n_components: int, mean=None, *, target=None,
     ``X D X^T p = value (X L X^T + I) p`` for the top eigenvectors, where D
     and L are the degree matrix and Laplacian of the graph that links
     labeled columns with equal labels. Labels may be any integers; only
-    their equality matters. ``mean`` is the d-vector mean of the full
-    source+target data, and the embedding mean is its projection; it
-    defaults to the mean of the labeled columns.
+    their equality matters. The columns of the result are the
+    eigenvectors, by decreasing eigenvalue.
 
     A direction that no labeled column reaches has eigenvalue 0, and any
     basis of those directions is as good as another. So eigenpairs whose
@@ -128,23 +115,21 @@ def slpp_fit(source, labels, n_components: int, mean=None, *, target=None,
             RankTruncationWarning,
         )
         projection = projection[:, :kept]
-    if mean is None:
-        picked = np.bincount(chosen, minlength=nt).astype(float)
-        mean = (source.sum(axis=1) + target @ picked) / (ns + chosen.size)
+    return projection
+
+
+def embed(projection, x, mean) -> np.ndarray:
+    """Project columns, subtract the projected ``mean`` and L2-normalize.
+
+    ``mean`` is a d-vector, in the run the mean of all source and target
+    columns, so the embeddings are centred on the mean of their projections.
+    """
+    x = np.asarray(x, dtype=float)
     mean = np.asarray(mean, dtype=float)
+    d = projection.shape[0]
+    if x.shape[0] != d:
+        raise ValueError(
+            f"dimension mismatch: projection expects d={d}, got {x.shape[0]}")
     if mean.shape != (d,):
         raise ValueError(f"mean must be a length-{d} vector, got shape {mean.shape}")
-    embedding_mean = projection.T @ mean
-    return SlppModel(projection=projection, embedding_mean=embedding_mean)
-
-
-def embed(model: SlppModel, x) -> np.ndarray:
-    """Project columns, subtract the embedding mean and L2-normalize."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != model.projection.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: model expects d={model.projection.shape[0]}, "
-            f"got {x.shape[0]}"
-        )
-    centered = model.projection.T @ x - model.embedding_mean[:, None]
-    return l2_normalize_columns(centered)
+    return l2_normalize_columns(projection.T @ x - (projection.T @ mean)[:, None])

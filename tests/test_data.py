@@ -66,6 +66,18 @@ class TestDomainDataset:
             with pytest.raises(ValueError, match="^labels must be integers"):
                 DomainDataset(np.ones((2, 2)), labels=ids)
 
+    @pytest.mark.parametrize("channel", ["labels", "eval_labels"])
+    def test_complex_and_float16_labels_checked_without_a_warning(self, channel):
+        # a complex cast drops the imaginary part with a ComplexWarning; a
+        # float16 comparison with 2**63 overflows the bound's cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{channel} must be integers"):
+                DomainDataset(np.ones((2, 2)), **{channel: np.array([1 + 0j, 2])})
+            ds = DomainDataset(np.ones((2, 2)),
+                               **{channel: np.array([1, 2], dtype=np.float16)})
+        assert getattr(ds, channel).tolist() == [1, 2]
+
     def test_largest_int64_label_kept_unchanged(self):
         ds = DomainDataset(np.ones((2, 2)),
                            labels=np.array([2**63 - 1, 1], dtype=np.uint64))

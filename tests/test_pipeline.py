@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from splda import dataio, linalg, pipeline
+from splda import dataio, linalg, pipeline, subspace
 from splda.data import (ABLATION_GRID, LABELING_MODES, SELECTION_MODES, DomainDataset,
                         RunConfig)
 from splda.dataio import _nearest, _nearest_by_blocks, evaluate, gen_synthetic
 from splda.pipeline import nn_baseline, prepare, run, run_ablation, run_prepared
 from splda.preprocess import ZeroVectorWarning, l2_normalize_columns
-from splda.subspace import slpp_fit
+from splda.subspace import embed, slpp_fit
 
 from conftest import NEAR_TIE, reference_pca_coordinates, reference_run
 
@@ -96,11 +96,11 @@ class TestRun:
         mean = (xs.sum(axis=1) + xt.sum(axis=1)) / (xs.shape[1] + xt.shape[1])
         chosen = np.arange(0, xt.shape[1], 2)[:n_chosen]
         pseudo = chosen % prepared.n_classes
-        first, second = (slpp_fit(xs, prepared.source_labels, 8, mean=mean, target=xt,
-                                  chosen=chosen, target_labels=pseudo)
+        first, second = (slpp_fit(xs, prepared.source_labels, 8, target=xt, chosen=chosen,
+                                  target_labels=pseudo)
                          for _ in range(2))
-        np.testing.assert_array_equal(first.projection, second.projection)
-        np.testing.assert_array_equal(first.embedding_mean, second.embedding_mean)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(embed(first, xt, mean), embed(second, xt, mean))
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=10**6),
@@ -269,18 +269,23 @@ class TestPrepare:
         run_prepared(prepared, easy_config(pca_dim=4, subspace_dim=4, iterations=1))
 
     @pytest.mark.parametrize("per_class, dim", [(25, 12), (3, 40)], ids=["scatter", "gram"])
-    def test_embedding_mean_is_mean_of_pooled_projections(self, per_class, dim):
+    def test_embedding_mean_is_mean_of_pooled_projections(self, monkeypatch, per_class,
+                                                          dim):
         src, tgt = gen_synthetic(4, per_class, dim, shift_magnitude=2.0, seed=26)
         prepared = prepare(src, tgt, 6)
         xs, xt = prepared.source, prepared.target
         # the pooled mean and a fit on some chosen targets, as run_prepared makes them
         mean = (xs.sum(axis=1) + xt.sum(axis=1)) / (xs.shape[1] + xt.shape[1])
         chosen = np.arange(0, xt.shape[1], 3)
-        model = slpp_fit(xs, prepared.source_labels, 4, mean=mean, target=xt,
-                         chosen=chosen, target_labels=chosen % prepared.n_classes)
+        projection = slpp_fit(xs, prepared.source_labels, 4, target=xt, chosen=chosen,
+                              target_labels=chosen % prepared.n_classes)
         pooled = np.hstack([xs, xt])
-        oracle = (model.projection.T @ pooled).mean(axis=1)
-        assert np.abs(model.embedding_mean - oracle).max() <= 1e-14
+        projected = projection.T @ pooled
+        # the embeddings before normalization, centred on the pooled projections' mean
+        monkeypatch.setattr(subspace, "l2_normalize_columns", lambda x: x)
+        centred = embed(projection, pooled, mean)
+        oracle = projected - projected.mean(axis=1)[:, None]
+        assert np.abs(centred - oracle).max() <= 1e-14
 
     def test_config_must_match_prepared_pca_dim(self):
         src, tgt = easy_pair(seed=19)

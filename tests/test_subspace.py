@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from splda import subspace
 from splda.preprocess import RankTruncationWarning, ZeroVectorWarning, l2_normalize_columns
 from splda.subspace import _pencil, embed, slpp_fit
 
@@ -92,9 +93,7 @@ class TestSlppFit:
         source, ys, target, chosen, yt = as_parts(data, labels, 50, rng)
         parts = slpp_fit(source, ys, 3, target=target, chosen=chosen, target_labels=yt)
         stacked = slpp_fit(data, labels, 3)
-        assert subspace_angles(parts.projection, stacked.projection).max() <= 1e-6
-        np.testing.assert_allclose(parts.embedding_mean, stacked.embedding_mean,
-                                   atol=1e-12)
+        assert subspace_angles(parts, stacked).max() <= 1e-6
 
     def test_traced_peak_holds_no_labeled_copy(self):
         # d1=512 and m=2000 labeled columns (1000 source, 1000 of 1500
@@ -122,10 +121,9 @@ class TestSlppFit:
     def test_depends_only_on_label_equality(self, rng):
         data = rng.normal(size=(6, 24))
         labels = rng.integers(0, 3, size=24)
-        model = slpp_fit(data, labels, 3)
+        projection = slpp_fit(data, labels, 3)
         shifted = slpp_fit(data, labels + 7, 3)
-        np.testing.assert_array_equal(model.projection, shifted.projection)
-        np.testing.assert_array_equal(model.embedding_mean, shifted.embedding_mean)
+        np.testing.assert_array_equal(projection, shifted)
 
     def test_two_classes_on_a_line(self):
         rng = np.random.default_rng(5)
@@ -134,8 +132,8 @@ class TestSlppFit:
         base = np.concatenate([rng.normal(-4, 0.3, n), rng.normal(4, 0.3, n)])
         data = np.vstack([base, rng.normal(0, 0.3, 2 * n)])
         labels = np.array([0] * n + [1] * n)
-        model = slpp_fit(data, labels, 1)
-        projected = (model.projection.T @ data).ravel()
+        projection = slpp_fit(data, labels, 1)
+        projected = (projection.T @ data).ravel()
         m0, m1 = projected[:n].mean(), projected[n:].mean()
         spread = max(projected[:n].std(), projected[n:].std())
         assert abs(m0 - m1) >= spread
@@ -143,11 +141,11 @@ class TestSlppFit:
     def test_uniform_labels_residual_contract(self, rng):
         data = rng.normal(size=(6, 20))
         labels = np.zeros(20, dtype=int)
-        model = slpp_fit(data, labels, 3)
+        projection = slpp_fit(data, labels, 3)
         a, b = pencil_matrices(data, labels)
         bound = 1e-8 * (np.linalg.norm(a, "fro") + np.linalg.norm(b, "fro"))
         for j in range(3):
-            p = model.projection[:, j]
+            p = projection[:, j]
             lam = (p @ a @ p) / (p @ b @ p)
             assert np.linalg.norm(a @ p - lam * (b @ p)) <= bound
 
@@ -155,13 +153,13 @@ class TestSlppFit:
         data = rng.normal(size=(8, 60))
         labels = rng.integers(0, 3, size=60)
         data += 3.0 * np.eye(8)[:, labels % 8]
-        model = slpp_fit(data, labels, 2)
+        projection = slpp_fit(data, labels, 2)
         a, b = pencil_matrices(data, labels)
 
         def quotient(p):
             return np.trace(p.T @ a @ p) / np.trace(p.T @ b @ p)
 
-        ours = quotient(model.projection)
+        ours = quotient(projection)
         for _ in range(100):
             q, _ = np.linalg.qr(rng.normal(size=(8, 2)))
             assert ours >= quotient(q) - 1e-12
@@ -169,11 +167,11 @@ class TestSlppFit:
     def test_residual_contract_random_labels(self, rng):
         data = rng.normal(size=(7, 35))
         labels = rng.integers(0, 4, size=35)
-        model = slpp_fit(data, labels, 5)
+        projection = slpp_fit(data, labels, 5)
         a, b = pencil_matrices(data, labels)
         bound = 1e-8 * (np.linalg.norm(a, "fro") + np.linalg.norm(b, "fro"))
-        for j in range(model.n_components):
-            p = model.projection[:, j]
+        for j in range(projection.shape[1]):
+            p = projection[:, j]
             lam = (p @ a @ p) / (p @ b @ p)
             assert np.linalg.norm(a @ p - lam * (b @ p)) <= bound
 
@@ -181,30 +179,9 @@ class TestSlppFit:
         data = rng.normal(size=(6, 30))
         labels = rng.integers(0, 3, size=30)
         perm = rng.permutation(30)
-        model_a = slpp_fit(data, labels, 3)
-        model_b = slpp_fit(data[:, perm], labels[perm], 3)
-        angles = subspace_angles(model_a.projection, model_b.projection)
+        angles = subspace_angles(slpp_fit(data, labels, 3),
+                                 slpp_fit(data[:, perm], labels[perm], 3))
         assert angles.max() <= 1e-6
-
-    def test_embedding_mean_uses_all_data(self, rng):
-        labeled = rng.normal(size=(5, 12))
-        labels = rng.integers(0, 2, size=12)
-        everything = rng.normal(size=(5, 40))
-        model = slpp_fit(labeled, labels, 2, mean=everything.mean(axis=1))
-        expected = (model.projection.T @ everything).mean(axis=1)
-        np.testing.assert_allclose(model.embedding_mean, expected)
-
-    def test_mean_defaults_to_labeled_columns(self, rng):
-        labeled = rng.normal(size=(5, 12)) + 1.0
-        labels = rng.integers(0, 2, size=12)
-        model = slpp_fit(labeled, labels, 2)
-        expected = (model.projection.T @ labeled).mean(axis=1)
-        np.testing.assert_allclose(model.embedding_mean, expected)
-
-    def test_rejects_mean_of_wrong_length(self, rng):
-        data = rng.normal(size=(4, 10))
-        with pytest.raises(ValueError, match="length-4"):
-            slpp_fit(data, rng.integers(0, 2, size=10), 2, mean=np.zeros(3))
 
     def test_rejects_too_many_components(self, rng):
         data = rng.normal(size=(4, 10))
@@ -222,14 +199,14 @@ class TestSlppFit:
         with pytest.warns(RankTruncationWarning,
                           match="requested 7 SLPP components but the labeled "
                                 "columns have rank 5; truncating"):
-            model = slpp_fit(source, source_labels, 7, target=target, chosen=chosen,
-                             target_labels=target_labels)
+            projection = slpp_fit(source, source_labels, 7, target=target, chosen=chosen,
+                                  target_labels=target_labels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             full_rank = slpp_fit(source, source_labels, 5, target=target, chosen=chosen,
                                  target_labels=target_labels)
-        assert model.projection.shape == (8, 5)
-        np.testing.assert_allclose(model.projection, full_rank.projection, atol=1e-10)
+        assert projection.shape == (8, 5)
+        np.testing.assert_allclose(projection, full_rank, atol=1e-10)
 
     def test_rejects_all_zero_labeled_columns(self):
         with pytest.raises(ValueError, match="labeled columns are all zero"):
@@ -256,35 +233,51 @@ class TestSlppFit:
 
 class TestEmbed:
     def test_zero_projection_passthrough(self):
-        from splda.subspace import SlppModel
-        model = SlppModel(projection=np.eye(2), embedding_mean=np.array([1.0, 2.0]))
         with pytest.warns(ZeroVectorWarning):
-            out = embed(model, np.array([[1.0], [2.0]]))
+            out = embed(np.eye(2), np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(out, np.zeros((2, 1)))
 
     def test_output_columns_unit_norm(self, rng):
         data = rng.normal(size=(5, 30))
-        model = slpp_fit(data, rng.integers(0, 3, size=30), 3)
-        out = embed(model, rng.normal(size=(5, 15)))
+        projection = slpp_fit(data, rng.integers(0, 3, size=30), 3)
+        out = embed(projection, rng.normal(size=(5, 15)), data.mean(axis=1))
         np.testing.assert_allclose(np.linalg.norm(out, axis=0), 1.0, atol=1e-12)
 
-    def test_pre_normalization_mean_is_zero(self, rng):
+    def test_pre_normalization_mean_is_zero(self, rng, monkeypatch):
         data = rng.normal(size=(6, 25))
         labels = rng.integers(0, 3, size=25)
-        model = slpp_fit(data, labels, 4, mean=data.mean(axis=1))
-        centered = model.projection.T @ data - model.embedding_mean[:, None]
+        projection = slpp_fit(data, labels, 4)
+        monkeypatch.setattr(subspace, "l2_normalize_columns", lambda x: x)
+        centered = embed(projection, data, data.mean(axis=1))
         assert np.linalg.norm(centered.mean(axis=1)) <= 1e-10
+
+    def test_embedding_mean_uses_all_data(self, rng):
+        # fitted on 12 labeled columns, centred on the mean of all 40
+        labeled = rng.normal(size=(5, 12))
+        labels = rng.integers(0, 2, size=12)
+        everything = rng.normal(size=(5, 40))
+        projection = slpp_fit(labeled, labels, 2)
+        projected = projection.T @ everything
+        expected = l2_normalize_columns(projected - projected.mean(axis=1)[:, None])
+        np.testing.assert_allclose(embed(projection, everything, everything.mean(axis=1)),
+                                   expected)
 
     def test_dimension_mismatch(self, rng):
         data = rng.normal(size=(5, 20))
-        model = slpp_fit(data, rng.integers(0, 2, size=20), 2)
+        projection = slpp_fit(data, rng.integers(0, 2, size=20), 2)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            embed(model, np.ones((4, 3)))
+            embed(projection, np.ones((4, 3)), np.zeros(5))
+
+    def test_rejects_mean_of_wrong_length(self, rng):
+        data = rng.normal(size=(4, 10))
+        projection = slpp_fit(data, rng.integers(0, 2, size=10), 2)
+        with pytest.raises(ValueError, match="length-4"):
+            embed(projection, data, np.zeros(3))
 
     def test_matches_manual_pipeline(self, rng):
         data = rng.normal(size=(5, 18))
-        model = slpp_fit(data, rng.integers(0, 2, size=18), 2)
+        projection = slpp_fit(data, rng.integers(0, 2, size=18), 2)
         probe = rng.normal(size=(5, 6))
-        manual = l2_normalize_columns(
-            model.projection.T @ probe - model.embedding_mean[:, None])
-        np.testing.assert_allclose(embed(model, probe), manual)
+        mean = rng.normal(size=5)
+        manual = l2_normalize_columns(projection.T @ probe - (projection.T @ mean)[:, None])
+        np.testing.assert_allclose(embed(projection, probe, mean), manual)

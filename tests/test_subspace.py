@@ -94,6 +94,8 @@ class TestSlppFit:
         parts = slpp_fit(source, ys, 3, target=target, chosen=chosen, target_labels=yt)
         stacked = slpp_fit(data, labels, 3)
         assert subspace_angles(parts, stacked).max() <= 1e-6
+        m = data.mean(axis=1)
+        np.testing.assert_allclose(parts.T @ m, stacked.T @ m, atol=1e-12)
 
     def test_traced_peak_holds_no_labeled_copy(self):
         # d1=512 and m=2000 labeled columns (1000 source, 1000 of 1500

@@ -216,10 +216,10 @@ def save_features(dataset: DomainDataset, path) -> None:
     d, n = dataset.features.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# d={d} n={n} labeled={1 if labeled else 0}\n")
-        for i in range(n):
-            label = labels[i] if labeled else -1
-            values = " ".join(repr(float(v)) for v in dataset.features[:, i])
-            fh.write(f"{label} {values}\n")
+        # one sample at a time, as Python floats, whose repr round-trips
+        for label, row in zip(labels.tolist() if labeled else [-1] * n,
+                              dataset.features.T):
+            fh.write(f"{label} {' '.join(map(repr, row.tolist()))}\n")
 
 
 def gen_synthetic(classes: int, per_class: int, dim: int, shift_magnitude: float,

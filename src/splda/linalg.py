@@ -15,11 +15,12 @@ their arguments: they copy them once and call ``sym_eig_in_place`` and
 buffers. ``sym_eig_in_place`` returns its vectors unsigned, as a view,
 and ``signed_copy`` signs and copies them once the matrix is freed. The
 library calls the in-place entries on matrices it builds itself: PCA's
-scatter or Gram matrix and the SLPP pencil ``a``, ``b``. scipy
-copies a C-ordered matrix into Fortran order before LAPACK sees it, so
-``overwrite_a`` alone would not spare that copy. A matrix that is exactly
-symmetric equals its transpose, which is Fortran-ordered, so the transpose
-is what goes to LAPACK, which then works in place.
+scatter or Gram matrix and the SLPP pencil ``a``, ``b``. Each is summed
+into the lower triangle of a C-ordered matrix, and no entry above it is
+read. scipy copies a C-ordered matrix into Fortran order before LAPACK
+sees it, so ``overwrite_a`` alone would not spare that copy. The transpose
+is Fortran-ordered and its upper triangle is the lower triangle, so the
+transpose goes to LAPACK with ``lower=False``, which then works in place.
 
 The standard problem is solved for its full spectrum by LAPACK's MRRR
 driver ``evr`` (Dhillon & Parlett 2004). It uses the matrix as scratch and
@@ -48,8 +49,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
-_SYM_TOL = 1e-10
-# Rows per block when measuring asymmetry or mirroring a triangle.
+# Rows per block when measuring asymmetry or finding eigenvector signs.
 _BLOCK = 256
 # gen_eig solves for the top k pairs only when k is at most n / 8; above
 # that the partial solver is no faster than the full spectrum.
@@ -67,54 +67,53 @@ def symmetric_sum(blocks, total: np.ndarray, rows: bool = False,
                   alpha: float = 1.0) -> np.ndarray:
     """Add ``alpha * b b^T`` (``rows``: ``alpha * b^T b``) over C-ordered blocks ``b``.
 
-    ``total`` is an exactly symmetric C-ordered matrix; the sum is added to
-    it in place and returned. Each block is added by one symmetric rank-k
-    update (BLAS ``syrk``) into the lower triangle, which is then mirrored,
-    so the result is exactly symmetric and no per-block product of the
-    order of ``total`` is formed.
+    The sum is added in place to the lower triangle of the C-ordered matrix
+    ``total``, which is returned; its strict upper triangle is left as it
+    was. Each block is added by one symmetric rank-k update (BLAS
+    ``syrk``), so no per-block product of the order of ``total`` is formed.
     """
     for block in blocks:
         # BLAS takes the transposes, which are Fortran-ordered views, without
         # a copy; its upper triangle of total.T is total's lower triangle
         total = dsyrk(alpha, block.T, beta=1.0, c=total.T, trans=0 if rows else 1,
                       overwrite_c=1).T
-    order = total.shape[0]
-    for lo in range(0, order, _BLOCK):
-        hi = min(lo + _BLOCK, order)
-        for i in range(lo, hi - 1):
-            total[i, i + 1:hi] = total[i + 1:hi, i]
-        total[lo:hi, hi:] = total[hi:, lo:hi].T
     return total
 
 
-def _checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:
-    """Validate ``m``, symmetrizing it in place when it is not exactly symmetric."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    # max and min are NaN when any entry is
-    top, bottom = float(m.max()), float(m.min())
-    if not (np.isfinite(top) and np.isfinite(bottom)):
-        raise ValueError(f"{name} contains non-finite entries")
-    scale = max(1.0, top, -bottom)
-    asym = _max_asymmetry(m)
-    if asym > _SYM_TOL * scale:
-        raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    if asym:
-        # m + m.T equals m.T + m bit for bit, so the mean is exactly symmetric
-        m += m.T
-        m *= 0.5
-    return m
+def _check(k: int, **matrices: np.ndarray) -> None:
+    """Check finite square matrices of one order n, and ``1 <= k <= n``.
+
+    ``k`` goes first: the finiteness reductions fail at order 0.
+    """
+    for name, m in matrices.items():
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    shapes = [m.shape for m in matrices.values()]
+    if len(set(shapes)) > 1:
+        raise ValueError("order mismatch: a is {}, b is {}".format(*shapes))
+    n = shapes[0][0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    for name, m in matrices.items():
+        # max and min are NaN when any entry is
+        if not np.isfinite([m.max(), m.min()]).all():
+            raise ValueError(f"{name} contains non-finite entries")
 
 
-def _max_asymmetry(m: np.ndarray) -> float:
-    """``max |m - m.T|``, over the upper triangle a block of rows at a time."""
-    n = m.shape[0]
-    asym = 0.0
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        diff = m[lo:hi, lo:] - m[lo:, lo:hi].T
-        asym = max(asym, float(np.abs(diff, out=diff).max()))
-    return asym
+def _check_symmetric(k: int, **matrices: np.ndarray) -> None:
+    """:func:`_check`, and reject a matrix whose asymmetry exceeds 1e-10 of its scale.
+
+    ``max |m - m.T|`` is taken over the upper triangle a block of rows at a time.
+    """
+    _check(k, **matrices)
+    for name, m in matrices.items():
+        scale = max(1.0, float(m.max()), -float(m.min()))
+        asym = 0.0
+        for lo in range(0, m.shape[0], _BLOCK):
+            diff = m[lo:lo + _BLOCK, lo:] - m[lo:, lo:lo + _BLOCK].T
+            asym = max(asym, float(np.abs(diff, out=diff).max()))
+        if asym > 1e-10 * scale:
+            raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -149,11 +148,12 @@ def _eigh_descending(a: np.ndarray, b: np.ndarray | None = None,
     """Eigenpairs of ``a`` (or of the pencil ``a``, ``b``), largest first.
 
     All pairs are computed unless ``k`` is given with ``b``; then only the
-    top k, by the expert generalized driver. ``a`` and ``b`` must be
-    exactly symmetric; LAPACK overwrites them.
+    top k, by the expert generalized driver. ``a`` and ``b`` are C-ordered
+    and hold their matrices in the lower triangle; LAPACK reads no other
+    entry and overwrites them.
     """
-    # finiteness was checked with the symmetry
-    owned = {"overwrite_a": True, "overwrite_b": True, "check_finite": False}
+    # finiteness was checked with the shape
+    owned = {"lower": False, "overwrite_a": True, "overwrite_b": True, "check_finite": False}
     try:
         if b is None:
             values, vectors = scipy.linalg.eigh(a.T, driver="evr", **owned)
@@ -179,9 +179,11 @@ def sym_eig(m, k: int):
     Eigenvalues are returned in descending order; eigenvectors are unit-norm
     columns with canonical signs. Each pair satisfies
     ``|m v - value * v| <= 1e-8 * |m|_F``. The full spectrum is computed by
-    LAPACK's MRRR driver ``evr``. ``m`` is never written.
+    LAPACK's MRRR driver ``evr``. ``m`` is never written. Its lower triangle
+    is solved, once its asymmetry is checked to be at most 1e-10 of its scale.
     """
     m = np.array(m, dtype=float, order="C")
+    _check_symmetric(k, m=m)
     values, vectors = sym_eig_in_place(m, k)
     # LAPACK left only scratch in m: free it before the vectors are copied out
     del m
@@ -191,17 +193,15 @@ def sym_eig(m, k: int):
 def sym_eig_in_place(m: np.ndarray, k: int):
     """Solve :func:`sym_eig` in a C-ordered float matrix, which it overwrites.
 
-    Returns the top k values and, unsigned, a view of the top k columns of
-    LAPACK's order-n eigenvector buffer. The caller drops its last reference
-    to ``m``, which holds only scratch, and then passes the view to
-    :func:`signed_copy`. Only the frame that owns ``m`` can free it: before
-    Python 3.11 an argument stays referenced by its caller until the call
-    returns, so a ``del`` in here would free nothing.
+    Only its lower triangle is read. Returns the top k values and, unsigned,
+    a view of the top k columns of LAPACK's order-n eigenvector buffer. The
+    caller drops its last reference to ``m``, which holds only scratch, and
+    then passes the view to :func:`signed_copy`. Only the frame that owns
+    ``m`` can free it: before Python 3.11 an argument stays referenced by
+    its caller until the call returns, so a ``del`` in here would free
+    nothing.
     """
-    m = _checked_symmetric(m, "m")
-    n = m.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    _check(k, m=m)
     values, vectors = _eigh_descending(m)
     return values[:k].copy(), vectors[:, :k]
 
@@ -227,21 +227,20 @@ def gen_eig(a, b, k: int):
     measured faster only there (0.73x of ``gvd`` at n=1024, k=128; 0.99x
     at n=512, k=128; 2.5x at n=k=128; see the module docstring). The
     returned vectors are rescaled to unit length. ``a`` and ``b`` are never
-    written.
+    written, and are checked for symmetry as in :func:`sym_eig`.
     """
-    return gen_eig_in_place(np.array(a, dtype=float, order="C"),
-                            np.array(b, dtype=float, order="C"), k)
+    a, b = (np.array(m, dtype=float, order="C") for m in (a, b))
+    _check_symmetric(k, a=a, b=b)
+    return gen_eig_in_place(a, b, k)
 
 
 def gen_eig_in_place(a: np.ndarray, b: np.ndarray, k: int):
-    """:func:`gen_eig` of two C-ordered float matrices, which it overwrites."""
-    a = _checked_symmetric(a, "a")
-    b = _checked_symmetric(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"order mismatch: a is {a.shape}, b is {b.shape}")
+    """:func:`gen_eig` in the lower triangles of two C-ordered float matrices.
+
+    It overwrites both.
+    """
+    _check(k, a=a, b=b)
     n = a.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
     partial = _PARTIAL_SPECTRUM_RATIO * k <= n
     values, vectors = _eigh_descending(a, b, k if partial else None)
     p = vectors[:, :k]

@@ -40,9 +40,9 @@ def pca_fit(parts, n_components: int) -> np.ndarray:
     eigenvalues below 1e-12 of the largest are dropped.
 
     The eigendecomposition runs on the smaller of the d x d scatter and the
-    n x n Gram matrix of the centred pooled data, each summed into one
-    buffer from centred blocks of at most 256 columns or rows. With scatter
-    eigenvectors u_i the coordinates of a column p are
+    n x n Gram matrix of the centred pooled data, each summed into the lower
+    triangle of one buffer from centred blocks of at most 256 columns or
+    rows. With scatter eigenvectors u_i the coordinates of a column p are
     ``u_i^T p - u_i^T mean``, one product per part. With Gram eigenvectors
     w_i and eigenvalues l_i they are ``sqrt(l_i) * w_i^T``, since
     ``x^T u_i = x^T x w_i / sqrt(l_i)`` for the centred pooled x. Each axis

@@ -33,7 +33,8 @@ def _pencil(source, labels, target, chosen, target_labels):
     X, gathered and scaled in one reused buffer, and S over the same blocks
     before they are scaled, so no d x m copy of X or Y is made. The second
     matrix is a copy of the first less ``S S^T``, by one more symmetric
-    update. Both come out exactly symmetric.
+    update. Both are held in their lower triangles, which is all that
+    ``linalg.gen_eig_in_place`` reads; their strict upper triangles are zero.
     """
     _, ids, counts = np.unique(np.concatenate([labels, target_labels]),
                                return_inverse=True, return_counts=True)

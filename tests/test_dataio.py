@@ -252,6 +252,20 @@ class TestLoadFeatures:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_writes_the_shortest_round_trip_text(self, tmp_path, labeled):
+        values = [-0.0, 5e-324, 1e-05, 1e+16, 3.0, 0.1, 0.1 + 0.2]
+        feats = np.array([values, values[::-1]]).T
+        ds = DomainDataset(feats, labels=np.array([3, 0]) if labeled else None)
+        path = tmp_path / "written.txt"
+        save_features(ds, path)
+        first, second = ("3", "0") if labeled else ("-1", "-1")
+        assert path.read_bytes() == (
+            f"# d=7 n=2 labeled={int(labeled)}\n"
+            f"{first} -0.0 5e-324 1e-05 1e+16 3.0 0.1 0.30000000000000004\n"
+            f"{second} 0.30000000000000004 0.1 3.0 1e+16 1e-05 5e-324 -0.0\n"
+        ).encode("ascii")
+
     def test_roundtrip_target_eval_labels(self, tmp_path, rng):
         ds = DomainDataset(rng.normal(size=(3, 5)),
                            eval_labels=rng.integers(0, 2, size=5), domain="target")

@@ -67,17 +67,24 @@ def spy_drivers(monkeypatch):
     return drivers
 
 
+def junk_above_diagonal(m, rng):
+    """A copy of ``m`` with finite junk in its strict upper triangle."""
+    upper = np.triu_indices(m.shape[0], 1)
+    junk = m.copy()
+    junk[upper] = rng.normal(scale=1e3, size=upper[0].size)
+    return junk
+
+
 class TestSymmetricSum:
     @pytest.mark.parametrize("rows", [False, True])
-    def test_matches_products_and_is_exactly_symmetric(self, rng, rows):
-        # 300 rows take two mirrored 256-row blocks
+    def test_matches_products_in_the_lower_triangle(self, rng, rows):
         blocks = [rng.normal(size=(7, 300) if rows else (300, 7)) for _ in range(3)]
         start = random_spd(rng, 300)
         total = linalg.symmetric_sum(iter(blocks), start.copy(), rows=rows, alpha=-0.5)
         expected = start - 0.5 * sum((b.T @ b) if rows else (b @ b.T) for b in blocks)
-        np.testing.assert_array_equal(total, total.T)
-        np.testing.assert_allclose(total, expected, rtol=0,
+        np.testing.assert_allclose(np.tril(total), np.tril(expected), rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_array_equal(np.triu(total, 1), np.triu(start, 1))
 
 
 class TestSymEig:
@@ -173,6 +180,13 @@ class TestSymEig:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k must be"):
             sym_eig(np.eye(3), 4)
+
+    def test_in_place_entry_reads_only_the_lower_triangle(self, rng):
+        m = random_spd(rng, 300)
+        values, vectors = linalg.sym_eig_in_place(m.copy(), 40)
+        junk_values, junk_vectors = linalg.sym_eig_in_place(junk_above_diagonal(m, rng), 40)
+        np.testing.assert_array_equal(junk_values, values)
+        np.testing.assert_array_equal(junk_vectors, vectors)
 
     @pytest.mark.parametrize("form", ["exact", "near", "fortran"])
     def test_argument_bitwise_unchanged(self, rng, form):
@@ -300,9 +314,33 @@ class TestGenEig:
         np.testing.assert_array_equal(in_place_values, values)
         np.testing.assert_array_equal(in_place_vectors, vectors)
 
+    @pytest.mark.parametrize("k, driver", [(2, "gvx"), (16, None)])
+    def test_in_place_entry_reads_only_the_lower_triangles(self, rng, monkeypatch, k,
+                                                            driver):
+        drivers = spy_drivers(monkeypatch)
+        a = random_spd(rng, 16)
+        b = random_spd(rng, 16)
+        values, vectors = linalg.gen_eig_in_place(a.copy(), b.copy(), k)
+        junk_values, junk_vectors = linalg.gen_eig_in_place(
+            junk_above_diagonal(a, rng), junk_above_diagonal(b, rng), k)
+        assert drivers == [driver, driver]
+        np.testing.assert_array_equal(junk_values, values)
+        np.testing.assert_array_equal(junk_vectors, vectors)
+
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="order mismatch"):
             gen_eig(np.eye(3), np.eye(4), 1)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: sym_eig(np.zeros((0, 0)), 1),
+    lambda: linalg.sym_eig_in_place(np.zeros((0, 0)), 1),
+    lambda: gen_eig(np.zeros((0, 0)), np.zeros((0, 0)), 1),
+    lambda: linalg.gen_eig_in_place(np.zeros((0, 0)), np.zeros((0, 0)), 1),
+], ids=["sym_eig", "sym_eig_in_place", "gen_eig", "gen_eig_in_place"])
+def test_order_zero_names_k(solve):
+    with pytest.raises(ValueError, match=r"k must be in 1\.\.0, got 1"):
+        solve()
 
 
 class TestSolveAssignment:

@@ -7,6 +7,7 @@ prediction path is allowed to read; it exists purely so metrics can be
 computed afterwards.
 """
 
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -165,7 +166,9 @@ def validate_pair(src: DomainDataset, tgt: DomainDataset) -> tuple:
 
     The class vocabulary is the union of source labels and source and target
     evaluation labels; every class must have at least one source sample,
-    otherwise its prototype would be undefined. Returns ``(source_ids,
+    otherwise its prototype would be undefined. Each side's largest feature
+    magnitude must keep the PCA and norm sums finite and its square normal
+    (:func:`_check_scale`). Returns ``(source_ids,
     target_truth, label_names)``: the dense source labels, the dense target
     evaluation labels (None when the target has none) and the sorted
     vocabulary that maps dense ids back to the caller's class ids.
@@ -181,6 +184,9 @@ def validate_pair(src: DomainDataset, tgt: DomainDataset) -> tuple:
         raise ValueError(
             f"feature dimension mismatch: source d={src.dim}, target d={tgt.dim}"
         )
+    n = src.n_samples + tgt.n_samples
+    for side, dataset in (("source", src), ("target", tgt)):
+        _check_scale(side, dataset.features, n)
     present = np.unique(src.labels)
     extras = [y for y in (src.eval_labels, tgt.eval_labels) if y is not None]
     vocab = np.unique(np.concatenate([present, *extras]))
@@ -193,3 +199,27 @@ def validate_pair(src: DomainDataset, tgt: DomainDataset) -> tuple:
         )
     truth = None if tgt.eval_labels is None else np.searchsorted(vocab, tgt.eval_labels)
     return np.searchsorted(vocab, src.labels), truth, label_names
+
+
+def _check_scale(side: str, features: np.ndarray, n: int) -> None:
+    """Reject features whose largest magnitude M would overflow or underflow.
+
+    PCA and column normalization sum at most d * n squares of centred
+    values, each at most (2 M)^2, so ``4 d n M^2`` must stay finite. A
+    nonzero M whose square is below the smallest normal float would lose
+    the features to underflow. All-zero features pass.
+    """
+    d = features.shape[0]
+    magnitude = max(float(features.max()), -float(features.min()))
+    largest = math.sqrt(np.finfo(float).max / (4 * d * n))
+    smallest = math.sqrt(np.finfo(float).tiny)
+    if magnitude > largest:
+        raise ValueError(
+            f"{side} features reach magnitude {magnitude:.3g}; with d={d} and "
+            f"n={n} the PCA and norm sums overflow above {largest:.3g}"
+        )
+    if 0.0 < magnitude < smallest:
+        raise ValueError(
+            f"{side} features reach only magnitude {magnitude:.3g}; their squares "
+            f"underflow below {smallest:.3g}"
+        )

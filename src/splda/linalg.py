@@ -9,32 +9,32 @@ Everything is deterministic: eigenvector signs are canonicalized and
 assignment ties are resolved lexicographically, by an O(n^3) rotation rule
 on the Hungarian matching.
 
-Each eigensolver has two entries. ``sym_eig`` and ``gen_eig`` never write
-their arguments: they copy them once and call ``sym_eig_in_place`` and
-``gen_eig_in_place``, which hand the matrices to LAPACK as its work
-buffers. ``sym_eig_in_place`` returns its vectors unsigned, as a view,
-and ``signed_copy`` signs and copies them once the matrix is freed. The
-library calls the in-place entries on matrices it builds itself: PCA's
-scatter or Gram matrix and the SLPP pencil ``a``, ``b``. Each is summed
-into the lower triangle of a C-ordered matrix, and no entry above it is
-read. scipy copies a C-ordered matrix into Fortran order before LAPACK
-sees it, so ``overwrite_a`` alone would not spare that copy. The transpose
-is Fortran-ordered and its upper triangle is the lower triangle, so the
-transpose goes to LAPACK with ``lower=False``, which then works in place.
+The public ``sym_eig`` and ``gen_eig`` never write their arguments: they
+copy them once and solve the copies. The library's own matrices are solved
+without a copy: ``sym_eig_of_sum`` creates PCA's scatter or Gram matrix
+from blocks, and ``gen_eig_in_place`` takes the SLPP pencil ``a``, ``b``
+that ``subspace`` sums. Each matrix is summed into the lower triangle of a
+C-ordered matrix, and no entry above it is read. scipy copies a C-ordered
+matrix into Fortran order before LAPACK sees it, so ``overwrite_a`` alone
+would not spare that copy. The transpose is Fortran-ordered and its upper
+triangle is the lower triangle, so the transpose goes to LAPACK with
+``lower=False``, which then works in place.
 
 The standard problem is solved for its full spectrum by LAPACK's MRRR
 driver ``evr`` (Dhillon & Parlett 2004). It uses the matrix as scratch and
 writes the eigenvectors to a buffer of their own, with O(n) workspace, so
 a solve holds two order-n matrices. The divide-and-conquer driver holds
 three: the matrix, which it overwrites with the eigenvectors, and a 2n^2
-workspace. After the solve the frame that owns the consumed matrix frees
-it; then the signs of the leading k eigenvectors are found a block of rows
-at a time and flipped in place, and those k columns are copied out, so
-nothing after the solve holds more than the solve did. MRRR is a little slower. On ``G G^T``, G an n x (n + 50)
-normal matrix, with one BLAS thread on a 2-vCPU Xeon, it took 0.61-0.62 s
-against divide and conquer's 0.56-0.57 s at n=1,430, 13-16 against 11-15
-ms at n=350, and 1.77-1.83 against 1.54-1.66 s at n=2,048 (the minimum of
-five interleaved calls, two runs).
+workspace. One rule keeps the solve at two: the frame that owns the
+consumed matrix frees it before the leading eigenvectors are signed and
+copied out. Only the owning frame can free it, since before Python 3.11 an
+argument stays referenced by its caller until the call returns, so
+``sym_eig`` and ``sym_eig_of_sum`` each create their matrix, solve it and
+``del`` it in one frame. MRRR is a little slower. On ``G G^T``, G an
+n x (n + 50) normal matrix, with one BLAS thread on a 2-vCPU Xeon, it took
+0.61-0.62 s against divide and conquer's 0.56-0.57 s at n=1,430, 13-16
+against 11-15 ms at n=350, and 1.77-1.83 against 1.54-1.66 s at n=2,048
+(the minimum of five interleaved calls, two runs).
 
 The generalized solver computes only the requested top-k pairs (LAPACK's
 expert driver ``gvx``) when ``8 * k <= n`` and the full spectrum (``gvd``)
@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
-# Rows per block when measuring asymmetry or finding eigenvector signs.
+# Rows per block when measuring asymmetry.
 _BLOCK = 256
 # gen_eig solves for the top k pairs only when k is at most n / 8; above
 # that the partial solver is no faster than the full spectrum.
@@ -119,25 +119,12 @@ def _check_symmetric(k: int, **matrices: np.ndarray) -> None:
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs in place so the largest-magnitude component is positive.
 
-    A tie goes to the first such row. The leading entries are found a block
-    of rows at a time, so no magnitude matrix of the size of ``vectors`` is
-    formed.
+    A tie goes to the first such row. Callers sign only once the matrix they
+    solved, where they own it, is freed, so the magnitude matrix of the size
+    of ``vectors`` does not raise a solve's peak.
     """
-    n, k = vectors.shape
-    top = np.full(k, -1.0)
-    signs = np.ones(k)
-    columns = np.arange(k)
-    buffer = np.empty(k * min(n, _BLOCK))
-    for lo in range(0, n, _BLOCK):
-        block = vectors[lo:lo + _BLOCK]
-        # one row per column, so argmax runs along the last axis and copies nothing
-        magnitude = np.abs(block.T, out=buffer[:block.size].reshape(k, -1))
-        rows = np.argmax(magnitude, axis=1)
-        block_top = magnitude[columns, rows]
-        # strictly larger, so an earlier block keeps a tie
-        better = np.flatnonzero(block_top > top)
-        top[better] = block_top[better]
-        signs[better] = np.sign(block[rows[better], better])
+    lead = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     vectors *= signs
     return vectors
@@ -177,42 +164,34 @@ def sym_eig(m, k: int):
     """Top-k eigenpairs of a symmetric matrix as ``(values, vectors)``.
 
     Eigenvalues are returned in descending order; eigenvectors are unit-norm
-    columns with canonical signs. Each pair satisfies
+    Fortran-ordered columns with canonical signs. Each pair satisfies
     ``|m v - value * v| <= 1e-8 * |m|_F``. The full spectrum is computed by
     LAPACK's MRRR driver ``evr``. ``m`` is never written. Its lower triangle
-    is solved, once its asymmetry is checked to be at most 1e-10 of its scale.
+    is solved in a copy, once its asymmetry is checked to be at most 1e-10
+    of its scale, and the copy is freed before the vectors are copied out.
     """
     m = np.array(m, dtype=float, order="C")
     _check_symmetric(k, m=m)
-    values, vectors = sym_eig_in_place(m, k)
-    # LAPACK left only scratch in m: free it before the vectors are copied out
+    values, vectors = _eigh_descending(m)
+    # LAPACK left only scratch in m
     del m
-    return values, signed_copy(vectors)
+    return values[:k].copy(), _canonical_signs(vectors[:, :k]).copy(order="F")
 
 
-def sym_eig_in_place(m: np.ndarray, k: int):
-    """Solve :func:`sym_eig` in a C-ordered float matrix, which it overwrites.
+def sym_eig_of_sum(blocks, order: int, k: int, rows: bool = False):
+    """:func:`sym_eig` of the :func:`symmetric_sum` of ``blocks`` from zero.
 
-    Only its lower triangle is read. Returns the top k values and, unsigned,
-    a view of the top k columns of LAPACK's order-n eigenvector buffer. The
-    caller drops its last reference to ``m``, which holds only scratch, and
-    then passes the view to :func:`signed_copy`. Only the frame that owns
-    ``m`` can free it: before Python 3.11 an argument stays referenced by
-    its caller until the call returns, so a ``del`` in here would free
-    nothing.
+    The order-``order`` matrix is created, summed into its lower triangle,
+    solved in place and freed in this frame, so beside LAPACK's eigenvector
+    buffer nothing of its order is held when the top k vectors are signed
+    and copied out. ``blocks`` and ``rows`` are as in :func:`symmetric_sum`.
     """
+    m = symmetric_sum(blocks, np.zeros((order, order)), rows=rows)
     _check(k, m=m)
     values, vectors = _eigh_descending(m)
-    return values[:k].copy(), vectors[:, :k]
-
-
-def signed_copy(vectors: np.ndarray) -> np.ndarray:
-    """``vectors`` with canonical signs, as a Fortran-ordered array of its own.
-
-    ``vectors`` is flipped in place first, so beside it only the returned
-    copy and one block of magnitudes are held.
-    """
-    return _canonical_signs(vectors).copy(order="F")
+    # LAPACK left only scratch in m
+    del m
+    return values[:k].copy(), _canonical_signs(vectors[:, :k]).copy(order="F")
 
 
 def gen_eig(a, b, k: int):
@@ -237,13 +216,17 @@ def gen_eig(a, b, k: int):
 def gen_eig_in_place(a: np.ndarray, b: np.ndarray, k: int):
     """:func:`gen_eig` in the lower triangles of two C-ordered float matrices.
 
-    It overwrites both.
+    It overwrites both. The top k vectors are rescaled into an array of
+    their own before they are signed, so the eigenvector buffer of the
+    partial driver ``gvx`` is freed first; ``gvd`` writes them over ``a``.
     """
     _check(k, a=a, b=b)
     n = a.shape[0]
     partial = _PARTIAL_SPECTRUM_RATIO * k <= n
     values, vectors = _eigh_descending(a, b, k if partial else None)
     p = vectors[:, :k]
+    del vectors
+    # the rescaled copy drops the last view of LAPACK's buffer before signing
     p = p / np.linalg.norm(p, axis=0, keepdims=True)
     return values[:k].copy(), _canonical_signs(p)
 

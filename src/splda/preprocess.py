@@ -40,9 +40,10 @@ def pca_fit(parts, n_components: int) -> np.ndarray:
     eigenvalues below 1e-12 of the largest are dropped.
 
     The eigendecomposition runs on the smaller of the d x d scatter and the
-    n x n Gram matrix of the centred pooled data, each summed into the lower
-    triangle of one buffer from centred blocks of at most 256 columns or
-    rows. With scatter eigenvectors u_i the coordinates of a column p are
+    n x n Gram matrix of the centred pooled data. ``linalg.sym_eig_of_sum``
+    sums it from centred blocks of at most 256 columns or rows, solves it
+    and frees it before the eigenvectors are copied out. With scatter
+    eigenvectors u_i the coordinates of a column p are
     ``u_i^T p - u_i^T mean``, one product per part. With Gram eigenvectors
     w_i and eigenvalues l_i they are ``sqrt(l_i) * w_i^T``, since
     ``x^T u_i = x^T x w_i / sqrt(l_i)`` for the centred pooled x. Each axis
@@ -65,13 +66,7 @@ def pca_fit(parts, n_components: int) -> np.ndarray:
         blocks = _centred_column_blocks(parts, mean)
     else:
         blocks = _centred_row_blocks(parts, mean, n)
-    order = min(d, n)
-    # the summed matrix is the library's own, so it is solved in place
-    summed = linalg.symmetric_sum(blocks, np.zeros((order, order)), rows=d > n)
-    values, vectors = linalg.sym_eig_in_place(summed, n_components)
-    # LAPACK left only scratch in it: free it before the vectors are copied out
-    del summed
-    vectors = linalg.signed_copy(vectors)
+    values, vectors = linalg.sym_eig_of_sum(blocks, min(d, n), n_components, rows=d > n)
     if values[0] <= 0.0:
         raise ValueError("pooled data has zero variance; PCA is undefined")
     keep = values > _RANK_CUTOFF * values[0]

@@ -245,9 +245,8 @@ def reference_select(classes, confidences, iteration, total_iterations, mode):
 def reference_sym_eig(m, k):
     """Top-k eigenpairs of the symmetric ``m``; the oracle for ``sym_eig``.
 
-    The divide-and-conquer driver (``evd``) and the whole-matrix sign rule
-    that ``sym_eig`` used before it moved to MRRR (``evr``) and signs found a
-    block of rows at a time.
+    The divide-and-conquer driver (``evd``) that ``sym_eig`` used before it
+    moved to MRRR (``evr``), and ``reference_canonical_signs``.
     """
     import scipy.linalg
 
@@ -264,28 +263,28 @@ def reference_canonical_signs(vectors):
 
 
 def watch_consumed_matrix(monkeypatch):
-    """Record, at each ``linalg.signed_copy``, whether the matrix solved is freed.
+    """Record, at each ``linalg._canonical_signs``, whether the matrix last solved is freed.
 
     Returns the list of records. A weak reference to each matrix handed to
-    ``linalg.sym_eig_in_place`` is kept; holding one does not keep it alive.
+    ``linalg._eigh_descending`` is kept; holding one does not keep it alive.
     This tells on any Python whether the frame that owns the matrix dropped
-    it before the vectors were copied out.
+    it before the vectors were signed and copied out.
     """
     from splda import linalg
 
     solved, freed = [], []
-    real_solve, real_copy = linalg.sym_eig_in_place, linalg.signed_copy
+    real_solve, real_sign = linalg._eigh_descending, linalg._canonical_signs
 
-    def solve(m, k):
-        solved.append(weakref.ref(m))
-        return real_solve(m, k)
+    def solve(a, *args, **kwargs):
+        solved.append(weakref.ref(a))
+        return real_solve(a, *args, **kwargs)
 
-    def copy(vectors):
+    def sign(vectors):
         freed.append(solved.pop()() is None)
-        return real_copy(vectors)
+        return real_sign(vectors)
 
-    monkeypatch.setattr(linalg, "sym_eig_in_place", solve)
-    monkeypatch.setattr(linalg, "signed_copy", copy)
+    monkeypatch.setattr(linalg, "_eigh_descending", solve)
+    monkeypatch.setattr(linalg, "_canonical_signs", sign)
     return freed
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,6 +346,31 @@ class TestBaseline:
         err = capsys.readouterr().err
         assert err.count(f"warning [{src_path} -> {tgt_path}]: {message}") == 1
         assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("scale, message", [
+    ("1e200", "features reach magnitude 1.99e+200; with d=10 and n=120"),
+    ("1e-200", "features reach only magnitude 1.99e-200; their squares underflow"),
+])
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("command", ["baseline-1nn", "adapt"])
+def test_feature_scale_is_a_one_line_error(pair_files, tmp_path, capsys, command, side,
+                                           scale, message):
+    paths = list(pair_files)
+    i = ("source", "target").index(side)
+    data = load_features(paths[i], domain=side)
+    # the largest magnitude is 1.99 times the scale
+    features = np.full(data.features.shape, 1.5)
+    features[0, 0] = 1.99
+    paths[i] = tmp_path / f"{side}-scaled.txt"
+    save_features(replace(data, features=features * float(scale)), paths[i])
+    args = [command, "--source", str(paths[0]), "--target", str(paths[1])]
+    if command == "adapt":
+        args += ["--d1", "10", "--d2", "8", "--iters", "2"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.count("error") == 1, err
+    assert f"ValueError: {side} {message}" in err, err
 
 
 class TestReportPath:

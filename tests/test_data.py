@@ -1,5 +1,7 @@
 import json
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +113,28 @@ class TestDomainDataset:
 
 
 class TestValidatePair:
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_scale_bounds(self, side):
+        # d=4 and n=6: the sums 4 d n M^2 reach the largest float at M = largest
+        largest = math.sqrt(np.finfo(float).max / 96)
+        smallest = math.sqrt(np.finfo(float).tiny)
+
+        def pair(magnitude):
+            src, tgt = make_source(), make_target(eval_labels=[0, 1, 2])
+            scaled = (src, tgt)[side == "target"]
+            features = scaled.features / np.abs(scaled.features).max() * magnitude
+            scaled = replace(scaled, features=features)
+            return (scaled, tgt) if side == "source" else (src, scaled)
+
+        for magnitude in (largest, smallest, 0.0):
+            validate_pair(*pair(magnitude))
+        with pytest.raises(ValueError, match=rf"^{side} features reach magnitude "
+                                             rf"1\.37e\+153; with d=4 and n=6"):
+            validate_pair(*pair(np.nextafter(largest, np.inf)))
+        with pytest.raises(ValueError, match=rf"^{side} features reach only magnitude "
+                                             rf"1e-160; their squares underflow"):
+            validate_pair(*pair(1e-160))
+
     def test_ok(self):
         ids, truth, names = validate_pair(make_source(), make_target(eval_labels=[0, 1, 2]))
         assert names == (0, 1, 2)

@@ -1,4 +1,4 @@
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -144,8 +144,8 @@ class TestSymEig:
         assert np.abs(vectors - ref_vectors).max() <= 1e-10
 
     def test_sign_tie_goes_to_the_first_row(self):
-        # each column's largest magnitude appears with both signs: within one
-        # 256-row block, across two blocks, and with the positive entry first
+        # each column's largest magnitude appears with both signs, rows far
+        # apart or close, with the negative or the positive entry first
         vectors = np.zeros((600, 3))
         vectors[[3, 7], 0] = [-0.5, 0.5]
         vectors[[10, 400], 1] = [-0.5, 0.5]
@@ -154,18 +154,6 @@ class TestSymEig:
         signed = linalg._canonical_signs(vectors.copy())
         np.testing.assert_array_equal(signed, expected)
         assert signed[3, 0] == signed[10, 1] == signed[300, 2] == 0.5
-
-    def test_signs_form_no_full_size_magnitude_matrix(self, rng):
-        vectors = rng.normal(size=(1024, 512))
-        expected = reference_canonical_signs(vectors)
-        tracemalloc.start()
-        try:
-            signed = linalg._canonical_signs(vectors)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(signed, expected)
-        assert peak < vectors.nbytes / 2, (peak, vectors.nbytes)
 
     def test_rejects_non_finite(self):
         m = np.eye(3)
@@ -181,10 +169,16 @@ class TestSymEig:
         with pytest.raises(ValueError, match="k must be"):
             sym_eig(np.eye(3), 4)
 
-    def test_in_place_entry_reads_only_the_lower_triangle(self, rng):
-        m = random_spd(rng, 300)
-        values, vectors = linalg.sym_eig_in_place(m.copy(), 40)
-        junk_values, junk_vectors = linalg.sym_eig_in_place(junk_above_diagonal(m, rng), 40)
+    def test_sum_entry_reads_only_the_lower_triangle(self, rng, monkeypatch):
+        blocks = [rng.normal(size=(300, 350))]
+        values, vectors = linalg.sym_eig_of_sum(blocks, 300, 40)
+        real_sum = linalg.symmetric_sum
+
+        def junk_sum(*args, **kwargs):
+            return junk_above_diagonal(real_sum(*args, **kwargs), rng)
+
+        monkeypatch.setattr(linalg, "symmetric_sum", junk_sum)
+        junk_values, junk_vectors = linalg.sym_eig_of_sum(blocks, 300, 40)
         np.testing.assert_array_equal(junk_values, values)
         np.testing.assert_array_equal(junk_vectors, vectors)
 
@@ -196,12 +190,16 @@ class TestSymEig:
         assert m.tobytes(order="A") == before.tobytes(order="A")
         assert m.flags.f_contiguous == before.flags.f_contiguous
 
-    def test_in_place_entry_gives_the_same_bits(self, rng):
-        m = random_spd(rng, 20)
-        values, vectors = sym_eig(m, 6)
-        in_place_values, in_place_vectors = linalg.sym_eig_in_place(m.copy(), 6)
-        np.testing.assert_array_equal(in_place_values, values)
-        np.testing.assert_array_equal(linalg.signed_copy(in_place_vectors), vectors)
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_sum_entry_gives_the_same_bits(self, rng, rows):
+        # sym_eig of the mirrored sum solves the same lower triangle
+        blocks = [rng.normal(size=(30, 20) if rows else (20, 30)) for _ in range(2)]
+        summed = linalg.symmetric_sum(blocks, np.zeros((20, 20)), rows=rows)
+        values, vectors = sym_eig(np.tril(summed) + np.tril(summed, -1).T, 6)
+        sum_values, sum_vectors = linalg.sym_eig_of_sum(blocks, 20, 6, rows=rows)
+        np.testing.assert_array_equal(sum_values, values)
+        np.testing.assert_array_equal(sum_vectors, vectors)
+        assert sum_vectors.flags.f_contiguous
 
     def test_copy_is_freed_before_the_vectors_are_copied_out(self, rng, monkeypatch):
         freed = watch_consumed_matrix(monkeypatch)
@@ -331,13 +329,36 @@ class TestGenEig:
         with pytest.raises(ValueError, match="order mismatch"):
             gen_eig(np.eye(3), np.eye(4), 1)
 
+    def test_vector_buffer_is_freed_before_the_signs(self, rng, monkeypatch):
+        # gvx writes the vectors to a buffer of their own; gvd writes them
+        # over a, which the caller owns
+        buffers, freed = [], []
+        real_solve, real_sign = linalg._eigh_descending, linalg._canonical_signs
+
+        def solve(*args, **kwargs):
+            values, vectors = real_solve(*args, **kwargs)
+            buffer = vectors
+            while buffer.base is not None:
+                buffer = buffer.base
+            buffers.append(weakref.ref(buffer))
+            return values, vectors
+
+        def sign(vectors):
+            freed.append(buffers.pop()() is None)
+            return real_sign(vectors)
+
+        monkeypatch.setattr(linalg, "_eigh_descending", solve)
+        monkeypatch.setattr(linalg, "_canonical_signs", sign)
+        linalg.gen_eig_in_place(random_spd(rng, 16), random_spd(rng, 16), 2)
+        assert freed == [True]
+
 
 @pytest.mark.parametrize("solve", [
     lambda: sym_eig(np.zeros((0, 0)), 1),
-    lambda: linalg.sym_eig_in_place(np.zeros((0, 0)), 1),
+    lambda: linalg.sym_eig_of_sum([], 0, 1),
     lambda: gen_eig(np.zeros((0, 0)), np.zeros((0, 0)), 1),
     lambda: linalg.gen_eig_in_place(np.zeros((0, 0)), np.zeros((0, 0)), 1),
-], ids=["sym_eig", "sym_eig_in_place", "gen_eig", "gen_eig_in_place"])
+], ids=["sym_eig", "sym_eig_of_sum", "gen_eig", "gen_eig_in_place"])
 def test_order_zero_names_k(solve):
     with pytest.raises(ValueError, match=r"k must be in 1\.\.0, got 1"):
         solve()

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -293,6 +294,24 @@ class TestPrepare:
             run_prepared(prepare(src, tgt, 10), easy_config())
 
 
+@pytest.mark.parametrize("bound", ["largest", "smallest"])
+def test_pair_at_a_scale_bound_predicts_as_unscaled(bound):
+    # validate_pair's bounds: 4 d n M^2 stays finite, and M^2 stays normal
+    src, tgt = easy_pair(shift=1.0)
+    config = easy_config()
+    n = src.n_samples + tgt.n_samples
+    magnitudes = [np.abs(side.features).max() for side in (src, tgt)]
+    if bound == "largest":
+        scale = math.sqrt(np.finfo(float).max / (4 * src.dim * n)) / max(magnitudes)
+        scale *= 1 - 1e-12
+    else:
+        scale = math.sqrt(np.finfo(float).tiny) / min(magnitudes) * (1 + 1e-12)
+    scaled = [replace(side, features=side.features * scale) for side in (src, tgt)]
+    np.testing.assert_array_equal(run(*scaled, config).predictions,
+                                  run(src, tgt, config).predictions)
+    assert nn_baseline(*scaled) == nn_baseline(src, tgt)
+
+
 @st.composite
 def any_pair(draw):
     """A pair the file format allows, with the degeneracies it permits.
@@ -338,7 +357,8 @@ def test_any_allowed_pair_predicts_or_fails_clearly(pair):
     try:
         first = run(src, tgt, config)
     except (ValueError, linalg.NumericalError) as exc:
-        assert str(exc)
+        # scales of 1e-150 to 1e150 are inside validate_pair's bounds
+        assert str(exc) and "features reach" not in str(exc)
         return
     assert first.predictions.shape == (tgt.n_samples,)
     assert np.isin(first.predictions, src.labels).all()

@@ -185,6 +185,8 @@ class TestPcaFit:
         src, tgt = gen_synthetic(4, 60, 400, shift_magnitude=2.0, seed=28)
         d = src.dim
         bound = (2 * d + 256) * d * 8
+        # pca_fit's first call imports scipy, which is no part of the fit
+        import splda.linalg  # noqa: F401
         tracemalloc.start()
         try:
             # the raw features were allocated before tracing began

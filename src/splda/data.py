@@ -95,7 +95,8 @@ class DomainDataset:
             raise ValueError("dataset needs at least one feature")
         if feats.shape[1] < 1:
             raise ValueError("dataset needs at least one sample")
-        if not np.isfinite(feats).all():
+        # max and min are NaN when any entry is; no d x n temporary is formed
+        if not np.isfinite([feats.max(), feats.min()]).all():
             raise ValueError("features contain non-finite entries")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)

@@ -1,46 +1,19 @@
 """Dense linear-algebra kernels used throughout the pipeline.
 
-Four operations are provided: a blocked sum of symmetric products,
-symmetric eigendecomposition, generalized symmetric-definite
-eigendecomposition (both through ``scipy.linalg.eigh``), and an exact
-minimum-cost assignment solver. The eigensolvers return
-``(values, vectors)`` and the assignment solver the assignment vector.
-Everything is deterministic: eigenvector signs are canonicalized and
-assignment ties are resolved lexicographically, by an O(n^3) rotation rule
-on the Hungarian matching.
+``symmetric_sum`` adds symmetric products block by block. ``sym_eig_of_sum``
+solves such a sum, PCA's scatter or Gram matrix, and ``gen_eig_in_place``
+the symmetric-definite pencil that SLPP sums, both through
+``scipy.linalg.eigh``. ``solve_assignment`` is an exact minimum-cost
+assignment solver. Everything is deterministic: eigenvector signs are
+canonicalized and assignment ties are resolved lexicographically, by an
+O(n^3) rotation rule on the Hungarian matching.
 
-The public ``sym_eig`` and ``gen_eig`` never write their arguments: they
-copy them once and solve the copies. The library's own matrices are solved
-without a copy: ``sym_eig_of_sum`` creates PCA's scatter or Gram matrix
-from blocks, and ``gen_eig_in_place`` takes the SLPP pencil ``a``, ``b``
-that ``subspace`` sums. Each matrix is summed into the lower triangle of a
-C-ordered matrix, and no entry above it is read. scipy copies a C-ordered
-matrix into Fortran order before LAPACK sees it, so ``overwrite_a`` alone
-would not spare that copy. The transpose is Fortran-ordered and its upper
-triangle is the lower triangle, so the transpose goes to LAPACK with
-``lower=False``, which then works in place.
-
-The standard problem is solved for its full spectrum by LAPACK's MRRR
-driver ``evr`` (Dhillon & Parlett 2004). It uses the matrix as scratch and
-writes the eigenvectors to a buffer of their own, with O(n) workspace, so
-a solve holds two order-n matrices. The divide-and-conquer driver holds
-three: the matrix, which it overwrites with the eigenvectors, and a 2n^2
-workspace. One rule keeps the solve at two: the frame that owns the
-consumed matrix frees it before the leading eigenvectors are signed and
-copied out. Only the owning frame can free it, since before Python 3.11 an
-argument stays referenced by its caller until the call returns, so
-``sym_eig`` and ``sym_eig_of_sum`` each create their matrix, solve it and
-``del`` it in one frame. MRRR is a little slower. On ``G G^T``, G an
-n x (n + 50) normal matrix, with one BLAS thread on a 2-vCPU Xeon, it took
-0.61-0.62 s against divide and conquer's 0.56-0.57 s at n=1,430, 13-16
-against 11-15 ms at n=350, and 1.77-1.83 against 1.54-1.66 s at n=2,048
-(the minimum of five interleaved calls, two runs).
-
-The generalized solver computes only the requested top-k pairs (LAPACK's
-expert driver ``gvx``) when ``8 * k <= n`` and the full spectrum (``gvd``)
-otherwise. With one BLAS thread, ``gvx`` took 0.59x of ``gvd``'s time at
-n=1024, k=64 and 0.73x at k=128, but 1.10x at k=384; at n=512 it took
-0.65x at k=64 and 0.99x at k=128; at n=128, k=128 it took 2.5x.
+Neither eigensolver copies its matrices. Each matrix is summed into the
+lower triangle of a C-ordered matrix, and no entry above it is read. scipy
+copies a C-ordered matrix into Fortran order before LAPACK sees it, so
+``overwrite_a`` alone would not spare that copy. The transpose is
+Fortran-ordered and its upper triangle is the lower triangle, so the
+transpose goes to LAPACK with ``lower=False``, which then works in place.
 """
 
 import re
@@ -49,10 +22,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
-# Rows per block when measuring asymmetry.
-_BLOCK = 256
-# gen_eig solves for the top k pairs only when k is at most n / 8; above
-# that the partial solver is no faster than the full spectrum.
+# gen_eig_in_place solves for the top k pairs only when k is at most n / 8;
+# above that the partial solver is no faster than the full spectrum.
 _PARTIAL_SPECTRUM_RATIO = 8
 # scipy reports LAPACK's info = n + i, a Cholesky factorization of b that
 # failed at pivot i, as the order of b's leading minor.
@@ -100,22 +71,6 @@ def _check(k: int, **matrices: np.ndarray) -> None:
             raise ValueError(f"{name} contains non-finite entries")
 
 
-def _check_symmetric(k: int, **matrices: np.ndarray) -> None:
-    """:func:`_check`, and reject a matrix whose asymmetry exceeds 1e-10 of its scale.
-
-    ``max |m - m.T|`` is taken over the upper triangle a block of rows at a time.
-    """
-    _check(k, **matrices)
-    for name, m in matrices.items():
-        scale = max(1.0, float(m.max()), -float(m.min()))
-        asym = 0.0
-        for lo in range(0, m.shape[0], _BLOCK):
-            diff = m[lo:lo + _BLOCK, lo:] - m[lo:, lo:lo + _BLOCK].T
-            asym = max(asym, float(np.abs(diff, out=diff).max()))
-        if asym > 1e-10 * scale:
-            raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-
-
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs in place so the largest-magnitude component is positive.
 
@@ -160,31 +115,29 @@ def _eigh_descending(a: np.ndarray, b: np.ndarray | None = None,
     return values[::-1], vectors[:, ::-1]
 
 
-def sym_eig(m, k: int):
-    """Top-k eigenpairs of a symmetric matrix as ``(values, vectors)``.
-
-    Eigenvalues are returned in descending order; eigenvectors are unit-norm
-    Fortran-ordered columns with canonical signs. Each pair satisfies
-    ``|m v - value * v| <= 1e-8 * |m|_F``. The full spectrum is computed by
-    LAPACK's MRRR driver ``evr``. ``m`` is never written. Its lower triangle
-    is solved in a copy, once its asymmetry is checked to be at most 1e-10
-    of its scale, and the copy is freed before the vectors are copied out.
-    """
-    m = np.array(m, dtype=float, order="C")
-    _check_symmetric(k, m=m)
-    values, vectors = _eigh_descending(m)
-    # LAPACK left only scratch in m
-    del m
-    return values[:k].copy(), _canonical_signs(vectors[:, :k]).copy(order="F")
-
-
 def sym_eig_of_sum(blocks, order: int, k: int, rows: bool = False):
-    """:func:`sym_eig` of the :func:`symmetric_sum` of ``blocks`` from zero.
+    """Top-k eigenpairs of the :func:`symmetric_sum` ``m`` of ``blocks`` from zero.
 
-    The order-``order`` matrix is created, summed into its lower triangle,
-    solved in place and freed in this frame, so beside LAPACK's eigenvector
-    buffer nothing of its order is held when the top k vectors are signed
-    and copied out. ``blocks`` and ``rows`` are as in :func:`symmetric_sum`.
+    ``blocks`` and ``rows`` are as in :func:`symmetric_sum`; ``m`` has order
+    ``order`` and must be finite, and ``1 <= k <= order``. Returns
+    ``(values, vectors)``: the k largest eigenvalues, descending, and
+    unit-norm eigenvectors as Fortran-ordered columns, each with its
+    largest-magnitude component positive (a tie goes to the first row).
+    Each pair satisfies ``|m v - value * v| <= 1e-8 * |m|_F``.
+
+    ``m`` is solved for its full spectrum by LAPACK's MRRR driver ``evr``
+    (Dhillon & Parlett 2004), which uses it as scratch and writes the
+    eigenvectors to a buffer of their own with O(n) workspace. This frame
+    creates ``m`` and frees it before the top k vectors are signed and
+    copied out (before Python 3.11 an argument stays referenced by its
+    caller until the call returns), so a solve holds two order-n matrices.
+    The divide-and-conquer driver would hold three: ``m``, overwritten with
+    the eigenvectors, and a 2n^2 workspace. MRRR is a little slower. On
+    ``G G^T``, G an n x (n + 50) normal matrix, with one BLAS thread on a
+    2-vCPU Xeon, it took 0.61-0.62 s against divide and conquer's
+    0.56-0.57 s at n=1,430, 13-16 against 11-15 ms at n=350, and 1.77-1.83
+    against 1.54-1.66 s at n=2,048 (the minimum of five interleaved calls,
+    two runs).
     """
     m = symmetric_sum(blocks, np.zeros((order, order)), rows=rows)
     _check(k, m=m)
@@ -194,31 +147,27 @@ def sym_eig_of_sum(blocks, order: int, k: int, rows: bool = False):
     return values[:k].copy(), _canonical_signs(vectors[:, :k]).copy(order="F")
 
 
-def gen_eig(a, b, k: int):
+def gen_eig_in_place(a: np.ndarray, b: np.ndarray, k: int):
     """Top-k pairs of the symmetric-definite pencil ``a p = value * b p``.
 
-    Returns ``(values, vectors)`` with the values descending. ``b`` must be
-    positive definite; otherwise a NumericalError names the pivot at which
-    its Cholesky factorization fails. The pencil is solved
-    by ``scipy.linalg.eigh`` with ``b``: for the top k pairs alone by
-    LAPACK's expert driver ``gvx`` when ``8 * k <= n``, and otherwise for
-    the full spectrum by the divide-and-conquer driver ``gvd``. ``gvx`` was
-    measured faster only there (0.73x of ``gvd`` at n=1024, k=128; 0.99x
-    at n=512, k=128; 2.5x at n=k=128; see the module docstring). The
-    returned vectors are rescaled to unit length. ``a`` and ``b`` are never
-    written, and are checked for symmetry as in :func:`sym_eig`.
-    """
-    a, b = (np.array(m, dtype=float, order="C") for m in (a, b))
-    _check_symmetric(k, a=a, b=b)
-    return gen_eig_in_place(a, b, k)
+    ``a`` and ``b`` are finite C-ordered float matrices of one order n,
+    held in their lower triangles; no entry above is read, and both are
+    overwritten. ``1 <= k <= n``. ``b`` must be positive definite, or a
+    NumericalError names the pivot at which its Cholesky factorization
+    fails; ``b = I`` poses the standard problem of ``a``, which may be
+    indefinite. Returns ``(values, vectors)``: the k largest values,
+    descending, and unit-norm vectors, each with its largest-magnitude
+    component positive (a tie goes to the first row). Each pair satisfies
+    ``|a p - value * b p| <= 1e-8 * (|a|_F + |b|_F)``.
 
-
-def gen_eig_in_place(a: np.ndarray, b: np.ndarray, k: int):
-    """:func:`gen_eig` in the lower triangles of two C-ordered float matrices.
-
-    It overwrites both. The top k vectors are rescaled into an array of
-    their own before they are signed, so the eigenvector buffer of the
-    partial driver ``gvx`` is freed first; ``gvd`` writes them over ``a``.
+    The top k pairs alone are solved by LAPACK's expert driver ``gvx`` when
+    ``8 * k <= n``, and the full spectrum otherwise by the
+    divide-and-conquer driver ``gvd``. With one BLAS thread, ``gvx`` took
+    0.59x of ``gvd``'s time at n=1024, k=64 and 0.73x at k=128, but 1.10x
+    at k=384; at n=512 it took 0.65x at k=64 and 0.99x at k=128; at
+    n=128, k=128 it took 2.5x. The vectors are rescaled into an array of
+    their own before they are signed, so the buffer ``gvx`` writes them to
+    is freed first; ``gvd`` writes them over ``a``.
     """
     _check(k, a=a, b=b)
     n = a.shape[0]

@@ -47,8 +47,8 @@ def pca_fit(parts, n_components: int) -> np.ndarray:
     ``u_i^T p - u_i^T mean``, one product per part. With Gram eigenvectors
     w_i and eigenvalues l_i they are ``sqrt(l_i) * w_i^T``, since
     ``x^T u_i = x^T x w_i / sqrt(l_i)`` for the centred pooled x. Each axis
-    takes its sign from ``linalg.sym_eig``'s rule on the eigenvectors of the
-    route taken (largest-magnitude component positive).
+    takes its sign from ``linalg.sym_eig_of_sum``'s rule on the eigenvectors
+    of the route taken (largest-magnitude component positive).
     """
     from . import linalg  # here, so that normalization alone never loads scipy
 

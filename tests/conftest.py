@@ -243,10 +243,11 @@ def reference_select(classes, confidences, iteration, total_iterations, mode):
 
 
 def reference_sym_eig(m, k):
-    """Top-k eigenpairs of the symmetric ``m``; the oracle for ``sym_eig``.
+    """Top-k eigenpairs of the symmetric ``m``; the standard-problem oracle.
 
-    The divide-and-conquer driver (``evd``) that ``sym_eig`` used before it
-    moved to MRRR (``evr``), and ``reference_canonical_signs``.
+    LAPACK's divide-and-conquer driver (``evd``) on a copy of ``m``, where
+    ``linalg`` runs MRRR (``evr``) or a pencil driver, and
+    ``reference_canonical_signs``.
     """
     import scipy.linalg
 
@@ -293,7 +294,7 @@ def reference_pca_components(x, n_components):
 
     The component route ``pca_fit`` replaced: on the Gram route (d > n) the
     Gram eigenvectors w are mapped to ``x w / sqrt(value)`` and given
-    ``sym_eig``'s sign rule in d dimensions. ``x`` is left as it is.
+    ``reference_canonical_signs`` in d dimensions. ``x`` is left as it is.
     """
     x = x - x.mean(axis=1, keepdims=True)
     d, n = x.shape

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -30,8 +31,22 @@ class TestDomainDataset:
         assert ds.dim == 4 and ds.n_samples == 3
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            DomainDataset(np.array([[1.0, np.inf]]))
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                DomainDataset(np.array([[1.0, value]]))
+
+    def test_adopting_a_read_only_matrix_allocates_nothing_of_its_size(self):
+        # a d x n bool temporary alone would take d * n bytes
+        feats = np.random.default_rng(0).normal(size=(4096, 200))
+        feats.setflags(write=False)
+        tracemalloc.start()
+        try:
+            ds = DomainDataset(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features is feats
+        assert peak < feats.size // 8, peak
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one sample"):

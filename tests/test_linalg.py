@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from splda import linalg
-from splda.linalg import NumericalError, gen_eig, solve_assignment, sym_eig
+from splda.linalg import NumericalError, gen_eig_in_place, solve_assignment, sym_eig_of_sum
 
 from conftest import (
     brute_force_assignment,
@@ -14,7 +14,6 @@ from conftest import (
     reference_canonical_signs,
     reference_lex_min_matching,
     reference_sym_eig,
-    watch_consumed_matrix,
 )
 
 
@@ -46,12 +45,10 @@ def total_cost(cost, assignment):
     return float(cost[np.arange(assignment.size), assignment].sum())
 
 
-def symmetric_input(m, form, rng):
-    """``m`` as an exactly symmetric C-ordered matrix, a matrix asymmetric
-    below the symmetry tolerance, or a Fortran-ordered copy."""
-    if form == "near":
-        m = m + 1e-13 * np.triu(rng.normal(size=m.shape), 1)
-    return np.asfortranarray(m) if form == "fortran" else m
+def spd_sum(rng, n):
+    """``random_spd(rng, n)`` and blocks whose :func:`linalg.symmetric_sum` it is."""
+    g = rng.normal(size=(n, n))
+    return [g, np.sqrt(n) * np.eye(n)], g @ g.T + n * np.eye(n)
 
 
 def spy_drivers(monkeypatch):
@@ -89,11 +86,11 @@ class TestSymmetricSum:
 
 class TestSymEig:
     def test_identity(self):
-        values, vectors = sym_eig(np.eye(3), 3)
+        values, vectors = sym_eig_of_sum([np.eye(3)], 3, 3)
         np.testing.assert_allclose(values, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_diagonal(self):
-        values, vectors = sym_eig(np.diag([5.0, 2.0, 1.0]), 2)
+        values, vectors = sym_eig_of_sum([np.diag(np.sqrt([5.0, 2.0, 1.0]))], 3, 2)
         np.testing.assert_allclose(values, [5.0, 2.0], atol=1e-12)
         # axis-aligned, canonical sign makes them exactly e1 and e2
         np.testing.assert_allclose(vectors[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
@@ -107,27 +104,29 @@ class TestSymEig:
         sym = 0.5 * (g + g.T)
         oracle = np.sort(np.roots(charpoly_coeffs(sym)).real)[::-1]
         np.testing.assert_allclose(oracle, expected, atol=1e-9)
-        values, vectors = sym_eig(sym, 6)
+        # indefinite, so posed as the pencil with b = I
+        values, vectors = gen_eig_in_place(sym.copy(), np.eye(6), 6)
         np.testing.assert_allclose(values, expected, atol=1e-8)
 
     def test_residual_bound_up_to_order_64(self):
         rng = np.random.default_rng(1)
         for n in (2, 5, 16, 33, 64):
-            m = random_spd(rng, n)
-            values, vectors = sym_eig(m, n)
+            blocks, m = spd_sum(rng, n)
+            values, vectors = sym_eig_of_sum(blocks, n, n)
             bound = 1e-8 * np.linalg.norm(m, "fro")
             for j in range(n):
                 res = m @ vectors[:, j] - values[j] * vectors[:, j]
                 assert np.linalg.norm(res) <= bound
 
     def test_vectors_unit_norm_and_descending(self, rng):
-        values, vectors = sym_eig(random_spd(rng, 10), 7)
+        values, vectors = sym_eig_of_sum(spd_sum(rng, 10)[0], 10, 7)
         np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0,
                                    atol=1e-12)
         assert np.all(np.diff(values) <= 1e-12)
+        assert vectors.flags.f_contiguous
 
     def test_sign_canonicalization(self, rng):
-        values, vectors = sym_eig(random_spd(rng, 8), 8)
+        values, vectors = sym_eig_of_sum(spd_sum(rng, 8)[0], 8, 8)
         lead = np.argmax(np.abs(vectors), axis=0)
         assert np.all(vectors[lead, np.arange(8)] > 0)
 
@@ -137,7 +136,7 @@ class TestSymEig:
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         m = (q * rng.permutation(np.arange(n) - n / 2)) @ q.T
         m = 0.5 * (m + m.T)
-        values, vectors = sym_eig(m, k)
+        values, vectors = gen_eig_in_place(m.copy(), np.eye(n), k)
         ref_values, ref_vectors = reference_sym_eig(m, k)
         assert np.abs(values - ref_values).max() <= 1e-10 * np.abs(ref_values).max()
         # unit columns, so the entrywise error is relative to their norm
@@ -156,64 +155,36 @@ class TestSymEig:
         assert signed[3, 0] == signed[10, 1] == signed[300, 2] == 0.5
 
     def test_rejects_non_finite(self):
-        m = np.eye(3)
-        m[0, 1] = m[1, 0] = np.nan
+        block = np.eye(3)
+        block[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            sym_eig(m, 1)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
+            sym_eig_of_sum([block], 3, 1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k must be"):
-            sym_eig(np.eye(3), 4)
+            sym_eig_of_sum([np.eye(3)], 3, 4)
 
     def test_sum_entry_reads_only_the_lower_triangle(self, rng, monkeypatch):
         blocks = [rng.normal(size=(300, 350))]
-        values, vectors = linalg.sym_eig_of_sum(blocks, 300, 40)
+        values, vectors = sym_eig_of_sum(blocks, 300, 40)
         real_sum = linalg.symmetric_sum
 
         def junk_sum(*args, **kwargs):
             return junk_above_diagonal(real_sum(*args, **kwargs), rng)
 
         monkeypatch.setattr(linalg, "symmetric_sum", junk_sum)
-        junk_values, junk_vectors = linalg.sym_eig_of_sum(blocks, 300, 40)
+        junk_values, junk_vectors = sym_eig_of_sum(blocks, 300, 40)
         np.testing.assert_array_equal(junk_values, values)
         np.testing.assert_array_equal(junk_vectors, vectors)
-
-    @pytest.mark.parametrize("form", ["exact", "near", "fortran"])
-    def test_argument_bitwise_unchanged(self, rng, form):
-        m = symmetric_input(random_spd(rng, 12), form, rng)
-        before = m.copy(order="K")
-        sym_eig(m, 4)
-        assert m.tobytes(order="A") == before.tobytes(order="A")
-        assert m.flags.f_contiguous == before.flags.f_contiguous
-
-    @pytest.mark.parametrize("rows", [False, True])
-    def test_sum_entry_gives_the_same_bits(self, rng, rows):
-        # sym_eig of the mirrored sum solves the same lower triangle
-        blocks = [rng.normal(size=(30, 20) if rows else (20, 30)) for _ in range(2)]
-        summed = linalg.symmetric_sum(blocks, np.zeros((20, 20)), rows=rows)
-        values, vectors = sym_eig(np.tril(summed) + np.tril(summed, -1).T, 6)
-        sum_values, sum_vectors = linalg.sym_eig_of_sum(blocks, 20, 6, rows=rows)
-        np.testing.assert_array_equal(sum_values, values)
-        np.testing.assert_array_equal(sum_vectors, vectors)
-        assert sum_vectors.flags.f_contiguous
-
-    def test_copy_is_freed_before_the_vectors_are_copied_out(self, rng, monkeypatch):
-        freed = watch_consumed_matrix(monkeypatch)
-        sym_eig(random_spd(rng, 20), 6)
-        assert freed == [True]
 
 
 class TestGenEig:
     def test_identity_pencil(self):
-        values, vectors = gen_eig(np.eye(4), np.eye(4), 4)
+        values, vectors = gen_eig_in_place(np.eye(4), np.eye(4), 4)
         np.testing.assert_allclose(values, np.ones(4), atol=1e-12)
 
     def test_diagonal_ratio(self):
-        values, vectors = gen_eig(np.diag([4.0, 1.0]), np.diag([2.0, 1.0]), 2)
+        values, vectors = gen_eig_in_place(np.diag([4.0, 1.0]), np.diag([2.0, 1.0]), 2)
         np.testing.assert_allclose(values, [2.0, 1.0], atol=1e-12)
 
     def test_matches_explicit_inverse_oracle(self):
@@ -225,7 +196,7 @@ class TestGenEig:
         b = random_spd(rng, 5, shift=5)
         oracle = np.sort(np.linalg.eig(np.linalg.inv(b) @ a)[0].real)[::-1]
         np.testing.assert_allclose(oracle, expected, atol=1e-9)
-        values, vectors = gen_eig(a, b, 5)
+        values, vectors = gen_eig_in_place(a.copy(), b.copy(), 5)
         np.testing.assert_allclose(values, expected, atol=1e-8)
 
     def test_residual_bound_up_to_order_64(self):
@@ -233,7 +204,7 @@ class TestGenEig:
         for n in (2, 7, 24, 64):
             a = random_spd(rng, n)
             b = random_spd(rng, n)
-            values, vectors = gen_eig(a, b, n)
+            values, vectors = gen_eig_in_place(a.copy(), b.copy(), n)
             bound = 1e-8 * (np.linalg.norm(a, "fro") + np.linalg.norm(b, "fro"))
             for j in range(n):
                 p = vectors[:, j]
@@ -253,7 +224,7 @@ class TestGenEig:
         oracle = all_vectors[:, ::-1][:, :k]
         oracle /= np.linalg.norm(oracle, axis=0)
         drivers = spy_drivers(monkeypatch)
-        values, vectors = gen_eig(a, b, k)
+        values, vectors = gen_eig_in_place(a.copy(), b.copy(), k)
         assert drivers == [driver]
         np.testing.assert_allclose(values, oracle_values, rtol=0, atol=1e-8)
         signs = np.sign(np.sum(vectors * oracle, axis=0))
@@ -266,51 +237,30 @@ class TestGenEig:
             assert np.linalg.norm(a @ p - values[j] * (b @ p)) <= bound
 
     def test_identity_b_agrees_with_sym_eig(self, rng):
-        a = random_spd(rng, 9)
-        np.testing.assert_allclose(gen_eig(a, np.eye(9), 5)[0],
-                                   sym_eig(a, 5)[0], atol=1e-8)
+        # the pencil entry with b = I and the sum entry solve one matrix
+        blocks, a = spd_sum(rng, 9)
+        np.testing.assert_allclose(gen_eig_in_place(a, np.eye(9), 5)[0],
+                                   sym_eig_of_sum(blocks, 9, 5)[0], atol=1e-8)
 
     def test_indefinite_b_names_pivot(self):
         b = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(NumericalError, match="pivot 2"):
-            gen_eig(np.eye(3), b, 1)
+            gen_eig_in_place(np.eye(3), b, 1)
 
     def test_indefinite_b_names_pivot_on_top_k_path(self):
         b = np.eye(16)
         b[4, 4] = -1.0
         with pytest.raises(NumericalError, match="pivot 5"):
-            gen_eig(np.eye(16), b, 1)
+            gen_eig_in_place(np.eye(16), b, 1)
 
     def test_indefinite_b_names_pivot_on_full_spectrum_path(self, monkeypatch):
         drivers = spy_drivers(monkeypatch)
         b = np.eye(16)
         b[4, 4] = -1.0
         with pytest.raises(NumericalError, match="pivot 5"):
-            gen_eig(np.eye(16), b, 16)
+            gen_eig_in_place(np.eye(16), b, 16)
         # no driver named: scipy's default for the full pencil, gvd
         assert drivers == [None]
-
-    @pytest.mark.parametrize("k, driver", [(2, "gvx"), (16, None)])
-    @pytest.mark.parametrize("form", ["exact", "near", "fortran"])
-    def test_arguments_bitwise_unchanged(self, rng, monkeypatch, k, driver, form):
-        drivers = spy_drivers(monkeypatch)
-        a = symmetric_input(random_spd(rng, 16), form, rng)
-        b = symmetric_input(random_spd(rng, 16), form, rng)
-        before = a.copy(order="K"), b.copy(order="K")
-        gen_eig(a, b, k)
-        assert drivers == [driver]
-        for m, old in zip((a, b), before):
-            assert m.tobytes(order="A") == old.tobytes(order="A")
-            assert m.flags.f_contiguous == old.flags.f_contiguous
-
-    @pytest.mark.parametrize("k", [2, 16])
-    def test_in_place_entry_gives_the_same_bits(self, rng, k):
-        a = random_spd(rng, 16)
-        b = random_spd(rng, 16)
-        values, vectors = gen_eig(a, b, k)
-        in_place_values, in_place_vectors = linalg.gen_eig_in_place(a.copy(), b.copy(), k)
-        np.testing.assert_array_equal(in_place_values, values)
-        np.testing.assert_array_equal(in_place_vectors, vectors)
 
     @pytest.mark.parametrize("k, driver", [(2, "gvx"), (16, None)])
     def test_in_place_entry_reads_only_the_lower_triangles(self, rng, monkeypatch, k,
@@ -318,8 +268,8 @@ class TestGenEig:
         drivers = spy_drivers(monkeypatch)
         a = random_spd(rng, 16)
         b = random_spd(rng, 16)
-        values, vectors = linalg.gen_eig_in_place(a.copy(), b.copy(), k)
-        junk_values, junk_vectors = linalg.gen_eig_in_place(
+        values, vectors = gen_eig_in_place(a.copy(), b.copy(), k)
+        junk_values, junk_vectors = gen_eig_in_place(
             junk_above_diagonal(a, rng), junk_above_diagonal(b, rng), k)
         assert drivers == [driver, driver]
         np.testing.assert_array_equal(junk_values, values)
@@ -327,7 +277,7 @@ class TestGenEig:
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="order mismatch"):
-            gen_eig(np.eye(3), np.eye(4), 1)
+            gen_eig_in_place(np.eye(3), np.eye(4), 1)
 
     def test_vector_buffer_is_freed_before_the_signs(self, rng, monkeypatch):
         # gvx writes the vectors to a buffer of their own; gvd writes them
@@ -349,16 +299,14 @@ class TestGenEig:
 
         monkeypatch.setattr(linalg, "_eigh_descending", solve)
         monkeypatch.setattr(linalg, "_canonical_signs", sign)
-        linalg.gen_eig_in_place(random_spd(rng, 16), random_spd(rng, 16), 2)
+        gen_eig_in_place(random_spd(rng, 16), random_spd(rng, 16), 2)
         assert freed == [True]
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: sym_eig(np.zeros((0, 0)), 1),
-    lambda: linalg.sym_eig_of_sum([], 0, 1),
-    lambda: gen_eig(np.zeros((0, 0)), np.zeros((0, 0)), 1),
-    lambda: linalg.gen_eig_in_place(np.zeros((0, 0)), np.zeros((0, 0)), 1),
-], ids=["sym_eig", "sym_eig_of_sum", "gen_eig", "gen_eig_in_place"])
+    lambda: sym_eig_of_sum([], 0, 1),
+    lambda: gen_eig_in_place(np.zeros((0, 0)), np.zeros((0, 0)), 1),
+], ids=["sym_eig_of_sum", "gen_eig_in_place"])
 def test_order_zero_names_k(solve):
     with pytest.raises(ValueError, match=r"k must be in 1\.\.0, got 1"):
         solve()

@@ -9,7 +9,7 @@ computed afterwards.
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,13 +76,15 @@ class DomainDataset:
 
     The features are copied into a read-only float64 matrix, so no caller's
     array can change them later. A float64 array that owns its memory and is
-    already read-only is adopted without the copy.
+    already read-only is adopted without the copy. ``magnitude``, the largest
+    absolute feature, is kept from the finiteness check for :func:`validate_pair`.
     """
 
     features: np.ndarray
     labels: np.ndarray | None = None
     eval_labels: np.ndarray | None = None
     domain: str = "source"
+    magnitude: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = self.features
@@ -96,10 +98,12 @@ class DomainDataset:
         if feats.shape[1] < 1:
             raise ValueError("dataset needs at least one sample")
         # max and min are NaN when any entry is; no d x n temporary is formed
-        if not np.isfinite([feats.max(), feats.min()]).all():
+        magnitude = max(float(feats.max()), -float(feats.min()))
+        if not math.isfinite(magnitude):
             raise ValueError("features contain non-finite entries")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "magnitude", magnitude)
         if self.domain not in ("source", "target"):
             raise ValueError(f"domain must be 'source' or 'target', got {self.domain!r}")
         for channel in ("labels", "eval_labels"):
@@ -187,7 +191,7 @@ def validate_pair(src: DomainDataset, tgt: DomainDataset) -> tuple:
         )
     n = src.n_samples + tgt.n_samples
     for side, dataset in (("source", src), ("target", tgt)):
-        _check_scale(side, dataset.features, n)
+        _check_scale(side, dataset, n)
     present = np.unique(src.labels)
     extras = [y for y in (src.eval_labels, tgt.eval_labels) if y is not None]
     vocab = np.unique(np.concatenate([present, *extras]))
@@ -202,7 +206,7 @@ def validate_pair(src: DomainDataset, tgt: DomainDataset) -> tuple:
     return np.searchsorted(vocab, src.labels), truth, label_names
 
 
-def _check_scale(side: str, features: np.ndarray, n: int) -> None:
+def _check_scale(side: str, dataset: DomainDataset, n: int) -> None:
     """Reject features whose largest magnitude M would overflow or underflow.
 
     PCA and column normalization sum at most d * n squares of centred
@@ -210,8 +214,7 @@ def _check_scale(side: str, features: np.ndarray, n: int) -> None:
     nonzero M whose square is below the smallest normal float would lose
     the features to underflow. All-zero features pass.
     """
-    d = features.shape[0]
-    magnitude = max(float(features.max()), -float(features.min()))
+    d, magnitude = dataset.dim, dataset.magnitude
     largest = math.sqrt(np.finfo(float).max / (4 * d * n))
     smallest = math.sqrt(np.finfo(float).tiny)
     if magnitude > largest:

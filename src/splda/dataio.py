@@ -307,16 +307,16 @@ def _nearest_by_blocks(s: np.ndarray, x: np.ndarray):
     """``(nearest, zeros)``: :func:`_nearest` of ``s`` and the L2-normalized
     columns of ``x``, and the number of zero columns of ``x``.
 
-    ``x`` is normalized and scored ``_NN_BLOCK`` columns at a time, so a
-    normalized block and a block x n_source score matrix are held, not a
-    normalized copy of ``x`` and its whole score matrix.
+    ``x`` is copied, normalized and scored ``_NN_BLOCK`` columns at a time,
+    so one normalized block and a block x n_source score matrix are held,
+    not a normalized copy of ``x`` and its whole score matrix.
     """
     nearest = np.empty(x.shape[1], dtype=np.intp)
     zeros = 0
     for lo in range(0, x.shape[1], _NN_BLOCK):
-        t, block_zeros = unit_columns(x[:, lo:lo + _NN_BLOCK])
+        t = x[:, lo:lo + _NN_BLOCK].copy()
+        zeros += unit_columns(t)
         nearest[lo:lo + _NN_BLOCK] = _nearest(s, t)
-        zeros += block_zeros
     return nearest, zeros
 
 
@@ -329,7 +329,7 @@ def nn_baseline(src: DomainDataset, tgt: DomainDataset) -> float:
     source_ids, target_truth, _ = validate_pair(src, tgt)
     if target_truth is None:
         raise ValueError("1NN baseline needs target ground truth in eval_labels")
-    s = l2_normalize_columns(src.features)
+    s = l2_normalize_columns(src.features.copy())
     nearest, zeros = _nearest_by_blocks(s, tgt.features)
     warn_zero_columns(zeros)
     return evaluate(source_ids[nearest], target_truth)

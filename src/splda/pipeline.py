@@ -100,17 +100,14 @@ def prepare(src: DomainDataset, tgt: DomainDataset, pca_dim: int) -> PreparedPai
 
     ``pca_dim`` must be an integer, as in :class:`RunConfig`, and is stored
     as a Python int. PCA reads the two sides' features in place, so no
-    pooled copy of them is made. Each side is normalized from its slice of
-    the returned coordinates.
+    pooled copy of them is made, and returns one coordinate matrix per
+    side, which is normalized in place.
     """
     pca_dim = as_count("pca_dim", pca_dim)
     source_ids, target_truth, label_names = validate_pair(src, tgt)
-    ns = src.n_samples
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coords = pca_fit((src.features, tgt.features), pca_dim)
-        xs = l2_normalize_columns(coords[:, :ns])
-        xt = l2_normalize_columns(coords[:, ns:])
+        xs, xt = map(l2_normalize_columns, pca_fit((src.features, tgt.features), pca_dim))
     for a in (xs, xt, source_ids, target_truth):
         if a is not None:
             a.setflags(write=False)

@@ -1,13 +1,8 @@
 """Dimensionality reduction, per-sample normalization and class sums.
 
-PCA is fit once on the pooled columns of the source and target matrices,
-which it reads and never writes, and returns the coordinates of every
-column. The eigendecomposition runs on whichever of the d x d scatter or
-the n x n Gram matrix of the centred pooled data is smaller. That matrix is
-summed from centred blocks of at most ``_BLOCK`` columns or rows, so no
-pooled or centred d x n copy is ever made, and LAPACK computes its
-eigenvectors in its own buffer. On the Gram route the coordinates are read
-off the Gram eigenvectors, so no d x k component matrix is formed.
+PCA (:func:`pca_fit`) reads the source and target matrices in place and
+returns a coordinate matrix for each; no pooled or centred d x n copy is
+made. Normalization scales a matrix that the caller owns in place.
 """
 
 import warnings
@@ -27,28 +22,30 @@ class RankTruncationWarning(UserWarning):
     """More components were requested than the data's numerical rank."""
 
 
-def pca_fit(parts, n_components: int) -> np.ndarray:
+def pca_fit(parts, n_components: int) -> list:
     """Leading principal coordinates of the pooled columns of ``parts``.
 
     ``parts`` is a sequence of d x n_i matrices, such as the source and the
     target features, whose columns are pooled in order; they are read and
-    never written. Returns the k x n matrix (n the total column count) whose
-    row i holds the coordinates of every pooled column on principal axis i;
-    its rows are orthogonal, with squared norms equal to the leading
-    eigenvalues of the centred scatter matrix, largest first. Requesting
-    more components than the numerical rank truncates with a warning;
-    eigenvalues below 1e-12 of the largest are dropped.
+    never written. Returns one new C-ordered k x n_i matrix per part, whose
+    row i holds the coordinates of the part's columns on principal axis i.
+    Side by side their rows are orthogonal, with squared norms equal to the
+    leading eigenvalues of the centred scatter matrix, largest first.
+    Requesting more components than the numerical rank truncates with a
+    warning; eigenvalues below 1e-12 of the largest are dropped.
 
     The eigendecomposition runs on the smaller of the d x d scatter and the
     n x n Gram matrix of the centred pooled data. ``linalg.sym_eig_of_sum``
-    sums it from centred blocks of at most 256 columns or rows, solves it
-    and frees it before the eigenvectors are copied out. With scatter
-    eigenvectors u_i the coordinates of a column p are
-    ``u_i^T p - u_i^T mean``, one product per part. With Gram eigenvectors
-    w_i and eigenvalues l_i they are ``sqrt(l_i) * w_i^T``, since
-    ``x^T u_i = x^T x w_i / sqrt(l_i)`` for the centred pooled x. Each axis
-    takes its sign from ``linalg.sym_eig_of_sum``'s rule on the eigenvectors
-    of the route taken (largest-magnitude component positive).
+    sums it from centred blocks of at most ``_BLOCK`` columns or rows, so no
+    pooled or centred d x n copy is made, solves it and frees it before the
+    eigenvectors are copied out. With scatter eigenvectors u_i the
+    coordinates of a column p are ``u_i^T p - u_i^T mean``: one product per
+    part, less the projected mean in place. With Gram eigenvectors w_i and
+    eigenvalues l_i they are ``sqrt(l_i) * w_i^T``, since
+    ``x^T u_i = x^T x w_i / sqrt(l_i)`` for the centred pooled x, so no
+    d x k component matrix is formed. Each axis takes its sign from
+    ``linalg.sym_eig_of_sum``'s rule on the eigenvectors of the route taken
+    (largest-magnitude component positive).
     """
     from . import linalg  # here, so that normalization alone never loads scipy
 
@@ -79,22 +76,18 @@ def pca_fit(parts, n_components: int) -> np.ndarray:
         )
         values, vectors = values[keep], vectors[:, keep]
     if d > n:
-        return np.sqrt(values)[:, None] * vectors.T
-    # written in place, so no k x n_i product is held beside the result
-    coords = np.empty((values.size, n))
-    start = 0
-    for part in parts:
-        stop = start + part.shape[1]
-        np.matmul(vectors.T, part, out=coords[:, start:stop])
-        start = stop
-    coords -= (vectors.T @ mean)[:, None]
-    return coords
+        scale = np.sqrt(values)[:, None]
+        bounds = np.cumsum([0] + [p.shape[1] for p in parts])
+        # the vectors are Fortran-ordered, so each part's product is C-ordered
+        return [scale * vectors[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
+    shift = (vectors.T @ mean)[:, None]
+    # each part's product less the projected mean, in place
+    return [np.subtract(c, shift, out=c) for c in (vectors.T @ p for p in parts)]
 
 
 def _centred_column_blocks(parts, mean):
-    """Yield at most ``_BLOCK`` columns at a time of the centred pooled d x n matrix.
-
-    Each block is a C-ordered d x b matrix in one reused buffer.
+    """Yield at most ``_BLOCK`` columns at a time of the centred pooled d x n
+    matrix, each a C-ordered d x b matrix in one reused buffer.
     """
     d = mean.size
     buffer = np.empty(d * _BLOCK)
@@ -107,9 +100,8 @@ def _centred_column_blocks(parts, mean):
 
 
 def _centred_row_blocks(parts, mean, n: int):
-    """Yield at most ``_BLOCK`` rows at a time of the centred pooled d x n matrix.
-
-    Each block is a C-ordered b x n matrix in one reused buffer.
+    """Yield at most ``_BLOCK`` rows at a time of the centred pooled d x n
+    matrix, each a C-ordered b x n matrix in one reused buffer.
     """
     d = mean.size
     buffer = np.empty(_BLOCK * n)
@@ -124,25 +116,28 @@ def _centred_row_blocks(parts, mean, n: int):
         yield block
 
 
-def l2_normalize_columns(x) -> np.ndarray:
-    """Scale every nonzero column to unit Euclidean norm.
+def l2_normalize_columns(x: np.ndarray) -> np.ndarray:
+    """:func:`unit_columns` of ``x``, which is returned, scaled in place.
 
-    Zero columns are returned unchanged; a ZeroVectorWarning carries how many
-    were seen.
+    A ZeroVectorWarning carries how many zero columns were left unchanged.
     """
-    unit, zeros = unit_columns(x)
-    warn_zero_columns(zeros)
-    return unit
+    warn_zero_columns(unit_columns(x))
+    return x
 
 
-def unit_columns(x):
-    """``(unit, zeros)``: ``x`` with every nonzero column scaled to unit
-    Euclidean norm, and the number of zero columns, which stay unchanged.
+def unit_columns(x: np.ndarray) -> int:
+    """Scale every nonzero column of the float matrix ``x`` to unit norm.
+
+    ``x`` is overwritten in place; a read-only matrix raises ValueError.
+    Returns the number of zero columns, which stay unchanged. ``np.einsum``
+    sums the squared norms without a squared copy of ``x``, row by row as
+    ``np.linalg.norm`` does on a C-ordered ``x``, giving the same bits.
     """
-    x = np.asarray(x, dtype=float)
-    norms = np.linalg.norm(x, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", x, x))
     zero = norms == 0.0
-    return x / np.where(zero, 1.0, norms), int(zero.sum())
+    norms[zero] = 1.0
+    np.divide(x, norms, out=x)
+    return int(zero.sum())
 
 
 def warn_zero_columns(zeros: int) -> None:

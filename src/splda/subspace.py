@@ -124,6 +124,8 @@ def embed(projection, x, mean) -> np.ndarray:
 
     ``mean`` is a d-vector, in the run the mean of all source and target
     columns, so the embeddings are centred on the mean of their projections.
+    The product is the one k x n matrix formed: it is centred and
+    normalized in place.
     """
     x = np.asarray(x, dtype=float)
     mean = np.asarray(mean, dtype=float)
@@ -133,4 +135,6 @@ def embed(projection, x, mean) -> np.ndarray:
             f"dimension mismatch: projection expects d={d}, got {x.shape[0]}")
     if mean.shape != (d,):
         raise ValueError(f"mean must be a length-{d} vector, got shape {mean.shape}")
-    return l2_normalize_columns(projection.T @ x - (projection.T @ mean)[:, None])
+    embedded = projection.T @ x
+    embedded -= (projection.T @ mean)[:, None]
+    return l2_normalize_columns(embedded)

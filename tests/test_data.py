@@ -2,7 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,6 +47,19 @@ class TestDomainDataset:
             tracemalloc.stop()
         assert ds.features is feats
         assert peak < feats.size // 8, peak
+
+    @pytest.mark.parametrize("feats, magnitude", [
+        ([[1.5, -3.0], [2.0, 0.5]], 3.0),
+        ([[-1.5, -0.25], [-2.0, -0.5]], 2.0),
+        ([[0.0, 0.0], [0.0, 0.0]], 0.0),
+    ], ids=["mixed-sign", "all-negative", "all-zero"])
+    def test_keeps_largest_magnitude_out_of_repr_and_equality(self, feats, magnitude):
+        ds = DomainDataset(np.array(feats))
+        assert ds.magnitude == magnitude and type(ds.magnitude) is float
+        assert replace(ds, domain="target").magnitude == magnitude
+        field = {f.name: f for f in fields(DomainDataset)}["magnitude"]
+        assert not (field.init or field.repr or field.compare)
+        assert "magnitude" not in repr(ds)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one sample"):

@@ -224,9 +224,9 @@ class TestPrepare:
     @pytest.mark.parametrize("per_class, dim", [(400, 60), (10, 3000)],
                              ids=["scatter", "gram"])
     def test_traced_peak_holds_no_pooled_copy(self, per_class, dim):
-        # PCA's matrix (60 x 60 or 80 x 80), its centred blocks, the 6 x n
-        # coordinates and their normalized copies stay below half of a pooled
-        # d x n copy (1.5 or 1.9 MB), which the peak would otherwise include
+        # PCA's matrix (60 x 60 or 80 x 80), its centred blocks and the 6 x n
+        # coordinates, normalized in place, stay below half of a pooled d x n
+        # copy (1.5 or 1.9 MB), which the peak would otherwise include
         src, tgt = gen_synthetic(4, per_class, dim, shift_magnitude=2.0, seed=24)
         pooled_bytes = src.dim * (src.n_samples + tgt.n_samples) * 8
         tracemalloc.start()
@@ -237,6 +237,25 @@ class TestPrepare:
         finally:
             tracemalloc.stop()
         assert peak < pooled_bytes / 2, (peak, pooled_bytes)
+
+    def test_scatter_route_peak_holds_one_copy_of_the_coordinates(self):
+        # d=200 < n=3200 and k=150: the peak stays below the k x n coordinates
+        # with a quarter of their size to spare, plus PCA's d x d matrix, one
+        # d x d eigenvector buffer and one block of 256 columns. Normalized
+        # copies beside the coordinates, as when each side was normalized out
+        # of place from a slice of the pooled coordinates, would exceed it
+        src, tgt = gen_synthetic(4, 400, 200, shift_magnitude=2.0, seed=24)
+        d, k = src.dim, 150
+        n = src.n_samples + tgt.n_samples
+        bound = 1.25 * k * n * 8 + (2 * d + 256) * d * 8
+        tracemalloc.start()
+        try:
+            # the raw features were allocated before tracing began
+            prepare(src, tgt, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     def test_gram_route_peak_is_the_gram_matrix_and_one_eigenvector_buffer(self):
         # n=400 < d=1000: the peak stays below the n x n Gram matrix, one n x n
@@ -508,7 +527,7 @@ class TestNnBaseline:
             "copy": lambda: [easy_pair(seed=13)[0].features] * 2,
             "unrelated": lambda: [rng.normal(size=(10, 1000)) for _ in range(2)],
         }[fixture]()
-        s, t = l2_normalize_columns(xs), l2_normalize_columns(xt)
+        s, t = l2_normalize_columns(xs.copy()), l2_normalize_columns(xt.copy())
         np.testing.assert_array_equal(_nearest(s, t), cdist_nearest(s, t))
 
     def test_zero_columns_match_cdist_oracle(self):
@@ -517,7 +536,7 @@ class TestNnBaseline:
         xs[:, 3] = 0.0
         xt[:, [0, 5]] = 0.0
         with pytest.warns(ZeroVectorWarning):
-            s, t = l2_normalize_columns(xs), l2_normalize_columns(xt)
+            s, t = l2_normalize_columns(xs.copy()), l2_normalize_columns(xt.copy())
         nearest = _nearest(s, t)
         np.testing.assert_array_equal(nearest, cdist_nearest(s, t))
         assert nearest[0] == nearest[5] == 3  # a zero target's nearest is the zero source
@@ -534,7 +553,7 @@ class TestNnBaseline:
         xs[:, 4] = 0.0
         xt[:, [0, 13, 29]] = 0.0
         with pytest.warns(ZeroVectorWarning):
-            s, t = l2_normalize_columns(xs), l2_normalize_columns(xt)
+            s, t = l2_normalize_columns(xs.copy()), l2_normalize_columns(xt.copy())
         monkeypatch.setattr(dataio, "_NN_BLOCK", block)
         nearest, zeros = _nearest_by_blocks(s, xt)
         np.testing.assert_array_equal(nearest, _nearest(s, t))
@@ -548,6 +567,19 @@ class TestNnBaseline:
         assert [str(w.message) for w in caught] == [
             "1 zero-norm column(s) left unnormalized",
             "3 zero-norm column(s) left unnormalized"]
+
+    def test_zero_columns_in_two_blocks_give_one_warning_with_the_total(
+            self, monkeypatch):
+        src, tgt = easy_pair(seed=21, shift=2.0)
+        xt = np.array(tgt.features)
+        xt[:, [1, 6]] = 0.0
+        zeroed = DomainDataset(xt, eval_labels=tgt.eval_labels, domain="target")
+        monkeypatch.setattr(dataio, "_NN_BLOCK", 4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nn_baseline(src, zeroed)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (ZeroVectorWarning, "2 zero-norm column(s) left unnormalized")]
 
     def test_target_copy_of_source_is_perfect(self):
         src, _ = easy_pair(seed=13)

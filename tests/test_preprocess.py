@@ -53,9 +53,9 @@ class TestPcaFit:
         x = np.outer(direction, t) + np.array([[5.0], [1.0], [0.0]])
         with pytest.warns(RankTruncationWarning):
             # rank is 1, so asking for 1 component is fine but probe 2
-            coords2 = pca_fit(parts_of(x), 2)
+            coords2 = np.hstack(pca_fit(parts_of(x), 2))
         assert coords2.shape == (1, t.size)
-        coords = pca_fit(parts_of(x), 1)
+        coords = np.hstack(pca_fit(parts_of(x), 1))
         along = direction @ (x - x.mean(axis=1, keepdims=True))
         sign = np.sign(coords[0] @ along)
         np.testing.assert_allclose(coords[0], sign * along, atol=1e-10)
@@ -75,7 +75,7 @@ class TestPcaFit:
         x = rng.normal(size=(10, 50)) * rng.uniform(0.5, 3.0, size=(10, 1))
         oracle = top_scatter_eigenvalues(x, 5).sum()
         assert oracle == pytest.approx(expected_top5_sum, abs=1e-6)
-        coords = pca_fit(parts_of(x), 5)
+        coords = np.hstack(pca_fit(parts_of(x), 5))
         assert (coords * coords).sum() == pytest.approx(expected_top5_sum, rel=1e-10)
 
     def test_rows_orthogonal_with_eigenvalue_norms(self, rng):
@@ -83,7 +83,7 @@ class TestPcaFit:
         for shape in ((8, 30), (30, 8)):
             x = rng.normal(size=shape)
             values = top_scatter_eigenvalues(x, 6)
-            coords = pca_fit(parts_of(x), 6)
+            coords = np.hstack(pca_fit(parts_of(x), 6))
             assert coords.shape == (6, shape[1])
             gram = coords @ coords.T
             assert np.abs(gram - np.diag(values)).max() <= 1e-10 * values[0]
@@ -92,7 +92,7 @@ class TestPcaFit:
         x = rng.normal(size=(7, 25))
         variances = []
         for k in range(1, 8):
-            coords = pca_fit(parts_of(x), k)
+            coords = np.hstack(pca_fit(parts_of(x), k))
             variances.append((coords * coords).sum())
         assert np.all(np.diff(variances) >= -1e-9)
 
@@ -100,7 +100,7 @@ class TestPcaFit:
         # more dimensions than samples forces the n x n route; the oracle
         # projects on the eigenvectors of the explicit d x d scatter
         x = rng.normal(size=(40, 12))
-        coords = pca_fit(parts_of(x), 4)
+        coords = np.hstack(pca_fit(parts_of(x), 4))
         _, vectors = np.linalg.eigh(explicit_scatter(x))
         oracle = vectors[:, ::-1][:, :4].T @ (x - x.mean(axis=1, keepdims=True))
         signs = np.sign((coords * oracle).sum(axis=1))
@@ -110,7 +110,7 @@ class TestPcaFit:
     def test_matches_reference_components_oracle(self, rng, shape):
         x = rng.normal(size=shape) + 2.0
         oracle = reference_pca_coordinates(x, 5)
-        coords = pca_fit(parts_of(x), 5)
+        coords = np.hstack(pca_fit(parts_of(x), 5))
         assert np.abs(coords - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("shape, cuts", [
@@ -125,12 +125,24 @@ class TestPcaFit:
     def test_block_edges_match_reference_oracle(self, rng, shape, cuts):
         x = rng.normal(size=shape) * rng.uniform(0.5, 2.0, size=(shape[0], 1)) + 3.0
         oracle = reference_pca_coordinates(x, 7)
-        coords = pca_fit(parts_of(x, cuts), 7)
+        coords = np.hstack(pca_fit(parts_of(x, cuts), 7))
         assert np.abs(coords - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("cuts", [(), (7,), (3, 11)], ids=["1", "2", "3"])
+    @pytest.mark.parametrize("shape", [(9, 20), (30, 20)], ids=["scatter", "gram"])
+    def test_one_c_ordered_matrix_per_part(self, rng, shape, cuts):
+        x = rng.normal(size=shape) + 2.0
+        parts = parts_of(x, cuts)
+        coords = pca_fit(parts, 5)
+        assert len(coords) == len(parts)
+        for c, part in zip(coords, parts):
+            assert c.flags.c_contiguous and c.shape == (5, part.shape[1])
+        oracle = reference_pca_coordinates(x, 5)
+        assert np.abs(np.hstack(coords) - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
     def test_gram_rows_lead_with_a_positive_entry(self, rng):
         # the Gram route's sign rule, read off the returned rows
-        coords = pca_fit(parts_of(rng.normal(size=(30, 9))), 5)
+        coords = np.hstack(pca_fit(parts_of(rng.normal(size=(30, 9))), 5))
         lead = coords[np.arange(5), np.argmax(np.abs(coords), axis=1)]
         assert (lead > 0).all()
 
@@ -166,7 +178,7 @@ class TestPcaFit:
         # oracle's axes, leaving a residual orthogonal to them
         x = rng.normal(size=(9, 30))
         components = reference_pca_components(x, 4)
-        coords = pca_fit(parts_of(x), 4)
+        coords = np.hstack(pca_fit(parts_of(x), 4))
         residual = x - x.mean(axis=1, keepdims=True) - components @ coords
         assert np.abs(components.T @ residual).max() <= 1e-8
 
@@ -212,6 +224,34 @@ class TestL2Normalize:
             out = l2_normalize_columns(x)
         np.testing.assert_allclose(out[:, 0], [0.0, 0.0])
         np.testing.assert_allclose(out[:, 1], [0.6, 0.8])
+
+    def test_in_place_with_the_bits_of_dividing_by_the_norms(self, rng):
+        x = rng.normal(size=(40, 70)) * rng.uniform(0.1, 10.0, size=(40, 1))
+        x[:, 5] = 0.0
+        with np.errstate(invalid="ignore"):
+            expected = x / np.linalg.norm(x, axis=0)
+        expected[:, 5] = 0.0
+        with pytest.warns(ZeroVectorWarning, match="1 zero-norm"):
+            out = l2_normalize_columns(x)
+        assert out is x
+        np.testing.assert_array_equal(out, expected)
+
+    def test_forms_no_copy_of_the_matrix(self, rng):
+        # a squared or a normalized copy of x would take x.nbytes
+        x = rng.normal(size=(300, 400))
+        tracemalloc.start()
+        try:
+            l2_normalize_columns(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 8, peak
+
+    def test_rejects_a_read_only_matrix(self):
+        x = np.array([[3.0], [4.0]])
+        x.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            l2_normalize_columns(x)
 
     def test_all_nonzero_norms_tight(self, rng):
         out = l2_normalize_columns(rng.normal(size=(6, 50)))

@@ -215,8 +215,9 @@ class TestL2Normalize:
         np.testing.assert_allclose(out, [[0.6], [0.8]])
 
     def test_unit_column_unchanged(self):
-        x = np.array([[0.0], [1.0]])
-        np.testing.assert_allclose(l2_normalize_columns(x), x)
+        # compared with a literal: the call scales x in place and returns it
+        out = l2_normalize_columns(np.array([[0.0], [1.0]]))
+        np.testing.assert_array_equal(out, [[0.0], [1.0]])
 
     def test_zero_column_passthrough_with_warning(self):
         x = np.array([[0.0, 3.0], [0.0, 4.0]])

@@ -120,16 +120,20 @@ def _cell_task(task: dict) -> dict:
     try:
         record.update(run_prepared(task["prepared"], RunConfig(**task["config"])).to_dict())
     except Exception as exc:  # noqa: BLE001 - any task failure is reportable
-        record["status"] = "failed"
-        record["error"] = _describe(exc)
+        record.update(status="failed", error=_describe(exc),
+                      warnings=list(task["prepared"].warnings))
     record["wall_time_s"] = time.perf_counter() - started + task["prepare_s"]
     return record
 
 
-def _run_tasks(worker, tasks: list, pool) -> list:
-    if pool is not None and len(tasks) > 1:
-        return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+def _run_tasks(worker, tasks, count: int, pool):
+    """An iterator of ``worker``'s results over the ``count`` ``tasks``, in order.
+
+    A pool takes every task at once; otherwise each runs here when reached.
+    """
+    if pool is not None and count > 1:
+        return pool.map(worker, tasks)
+    return map(worker, tasks)
 
 
 @contextmanager
@@ -156,12 +160,12 @@ def _run_cells(pairs: list, configs: list, jobs: int) -> list:
     cell's time is its own loop.
     """
     with _pool(jobs) as pool:
-        stage = _run_tasks(_prepare_task, [
-            {"source": s, "target": t, "config": configs[0]} for s, t in pairs], pool)
-        cells = [dict(p, source=s, target=t, config=c,
+        tasks = [{"source": s, "target": t, "config": configs[0]} for s, t in pairs]
+        stage = _run_tasks(_prepare_task, tasks, len(tasks), pool)
+        cells = (dict(p, source=s, target=t, config=c,
                       prepare_s=p["prepare_s"] if len(configs) == 1 else 0.0)
-                 for (s, t), p in zip(pairs, stage) for c in configs]
-        return _run_tasks(_cell_task, cells, pool)
+                 for (s, t), p in zip(pairs, stage) for c in configs)
+        return list(_run_tasks(_cell_task, cells, len(pairs) * len(configs), pool))
 
 
 def _finish(command: str, records: list, args) -> int:
@@ -231,7 +235,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_baseline(args) -> int:
     tasks = [{"source": s, "target": t} for s, t in _pairs(args)]
     with _pool(args.jobs) as pool:
-        records = _run_tasks(_baseline_task, tasks, pool)
+        records = list(_run_tasks(_baseline_task, tasks, len(tasks), pool))
     return _finish("baseline-1nn", records, args)
 
 

@@ -9,7 +9,7 @@ computed afterwards.
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -20,12 +20,6 @@ ABLATION_GRID = tuple((labeling, selection) for labeling in LABELING_MODES
                       for selection in SELECTION_MODES)
 # The largest label the int label vector holds.
 _LABEL_MAX = np.iinfo(int).max
-
-
-def _frozen_array(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
-    a.setflags(write=False)
-    return a
 
 
 def as_count(name: str, value) -> int:
@@ -67,17 +61,17 @@ def _check_label_vector(labels, n: int, channel: str) -> np.ndarray:
                 raise ValueError(f"{channel} must be integers")
     if (labels < 0).any():
         raise ValueError(f"{channel} must be nonnegative class ids")
-    return labels.astype(int)
+    return labels.astype(int)  # a copy, which no caller's array shares
 
 
 @dataclass(frozen=True)
 class DomainDataset:
     """Column-major feature matrix for one domain plus optional labels.
 
-    The features are copied into a read-only float64 matrix, so no caller's
-    array can change them later. A float64 array that owns its memory and is
-    already read-only is adopted without the copy. ``magnitude``, the largest
-    absolute feature, is kept from the finiteness check for :func:`validate_pair`.
+    The features and labels are copied into read-only arrays, so no caller's
+    array can change them later. A float64 feature matrix that owns its
+    memory and is already read-only is adopted without the copy.
+    ``magnitude``, the largest absolute feature, is kept for :func:`validate_pair`.
     """
 
     features: np.ndarray
@@ -110,7 +104,8 @@ class DomainDataset:
             values = getattr(self, channel)
             if values is not None:
                 checked = _check_label_vector(values, feats.shape[1], channel)
-                object.__setattr__(self, channel, _frozen_array(checked, int))
+                checked.setflags(write=False)
+                object.__setattr__(self, channel, checked)
 
     @property
     def dim(self) -> int:
@@ -157,13 +152,7 @@ class RunConfig:
             raise ValueError(f"selection must be one of {SELECTION_MODES}, got {self.selection!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "pca_dim": self.pca_dim,
-            "subspace_dim": self.subspace_dim,
-            "iterations": self.iterations,
-            "labeling": self.labeling,
-            "selection": self.selection,
-        }
+        return asdict(self)
 
 
 def validate_pair(src: DomainDataset, tgt: DomainDataset) -> tuple:

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .data import _LABEL_MAX, DomainDataset, validate_pair
-from .preprocess import l2_normalize_columns, unit_columns, warn_zero_columns
+from .preprocess import column_blocks, l2_normalize_columns, unit_columns, warn_zero_columns
 
 # Tokens in a line are separated by runs of space, \t, \v and \f; lines end
 # at \n, \r\n or \r (read as \n). Other control bytes, \x1c-\x1f among them,
@@ -28,9 +28,6 @@ _BLANK = " \t\v\f\n"
 _TOKEN_RE = re.compile(r"[^ \t\v\f\n]+")
 _HEADER_RE = re.compile(
     r"#[ \t\v\f]*d=(\d+)[ \t\v\f]+n=(\d+)[ \t\v\f]+labeled=([01])[ \t\v\f]*$")
-
-# Targets the 1NN baseline normalizes and scores at a time.
-_NN_BLOCK = 256
 
 # Class blobs are unit-variance Gaussians; target samples get a rotation of
 # this many radians per unit of shift, so zero shift means identical domains.
@@ -307,16 +304,15 @@ def _nearest_by_blocks(s: np.ndarray, x: np.ndarray):
     """``(nearest, zeros)``: :func:`_nearest` of ``s`` and the L2-normalized
     columns of ``x``, and the number of zero columns of ``x``.
 
-    ``x`` is copied, normalized and scored ``_NN_BLOCK`` columns at a time,
-    so one normalized block and a block x n_source score matrix are held,
-    not a normalized copy of ``x`` and its whole score matrix.
+    Each block that ``column_blocks`` reads of ``x`` is normalized in its
+    buffer and scored, so one block and a block x n_source score matrix are
+    held, not a normalized copy of ``x`` and its whole score matrix.
     """
     nearest = np.empty(x.shape[1], dtype=np.intp)
     zeros = 0
-    for lo in range(0, x.shape[1], _NN_BLOCK):
-        t = x[:, lo:lo + _NN_BLOCK].copy()
+    for start, t in column_blocks([(x, np.arange(x.shape[1]))]):
         zeros += unit_columns(t)
-        nearest[lo:lo + _NN_BLOCK] = _nearest(s, t)
+        nearest[start:start + t.shape[1]] = _nearest(s, t)
     return nearest, zeros
 
 

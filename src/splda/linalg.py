@@ -203,8 +203,6 @@ def solve_assignment(c) -> np.ndarray:
     if (c < 0).any():
         raise ValueError("cost matrix entries must be nonnegative")
     n = c.shape[0]
-    if n == 1:
-        return np.array([0])
     row_to_col, u, v = _hungarian(c)
     # Complementary slackness: every optimal assignment lives on edges whose
     # reduced cost is zero under the optimal potentials.

@@ -2,7 +2,8 @@
 
 PCA (:func:`pca_fit`) reads the source and target matrices in place and
 returns a coordinate matrix for each; no pooled or centred d x n copy is
-made. Normalization scales a matrix that the caller owns in place.
+made. Normalization scales a matrix that the caller owns in place. One
+reader, :func:`column_blocks`, gathers every block of columns that is read.
 """
 
 import warnings
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 
 _RANK_CUTOFF = 1e-12
-# Columns (scatter route) or rows (Gram route) per centred block.
+# Columns per block of column_blocks, and rows per block of PCA's Gram route.
 _BLOCK = 256
 
 
@@ -36,16 +37,16 @@ def pca_fit(parts, n_components: int) -> list:
 
     The eigendecomposition runs on the smaller of the d x d scatter and the
     n x n Gram matrix of the centred pooled data. ``linalg.sym_eig_of_sum``
-    sums it from centred blocks of at most ``_BLOCK`` columns or rows, so no
-    pooled or centred d x n copy is made, solves it and frees it before the
-    eigenvectors are copied out. With scatter eigenvectors u_i the
-    coordinates of a column p are ``u_i^T p - u_i^T mean``: one product per
-    part, less the projected mean in place. With Gram eigenvectors w_i and
-    eigenvalues l_i they are ``sqrt(l_i) * w_i^T``, since
-    ``x^T u_i = x^T x w_i / sqrt(l_i)`` for the centred pooled x, so no
-    d x k component matrix is formed. Each axis takes its sign from
-    ``linalg.sym_eig_of_sum``'s rule on the eigenvectors of the route taken
-    (largest-magnitude component positive).
+    sums it from blocks of at most ``_BLOCK`` columns (:func:`column_blocks`)
+    or rows, each centred in its buffer, so no pooled or centred d x n copy
+    is made, solves it and frees it before the eigenvectors are copied out.
+    With scatter eigenvectors u_i the coordinates of a column p are
+    ``u_i^T p - u_i^T mean``: one product per part, less the projected mean
+    in place. With Gram eigenvectors w_i and eigenvalues l_i they are
+    ``sqrt(l_i) * w_i^T``, since ``x^T u_i = x^T x w_i / sqrt(l_i)`` for the
+    centred pooled x, so no d x k component matrix is formed. Each axis
+    takes its sign from ``linalg.sym_eig_of_sum``'s rule on the eigenvectors
+    of the route taken (largest-magnitude component positive).
     """
     from . import linalg  # here, so that normalization alone never loads scipy
 
@@ -60,7 +61,8 @@ def pca_fit(parts, n_components: int) -> list:
         )
     mean = sum(p.sum(axis=1) for p in parts) / n
     if d <= n:
-        blocks = _centred_column_blocks(parts, mean)
+        blocks = (np.subtract(block, mean[:, None], out=block)
+                  for _, block in column_blocks([(p, np.arange(p.shape[1])) for p in parts]))
     else:
         blocks = _centred_row_blocks(parts, mean, n)
     values, vectors = linalg.sym_eig_of_sum(blocks, min(d, n), n_components, rows=d > n)
@@ -85,18 +87,25 @@ def pca_fit(parts, n_components: int) -> list:
     return [np.subtract(c, shift, out=c) for c in (vectors.T @ p for p in parts)]
 
 
-def _centred_column_blocks(parts, mean):
-    """Yield at most ``_BLOCK`` columns at a time of the centred pooled d x n
-    matrix, each a C-ordered d x b matrix in one reused buffer.
+def column_blocks(parts):
+    """Yield ``(start, block)`` over the columns ``x[:, columns]`` of each
+    ``(x, columns)`` pair in ``parts``, at most ``_BLOCK`` at a time.
+
+    ``x`` is read, never written; ``columns`` must be in range. ``start``
+    counts the columns yielded before. Each block is a C-ordered d x b
+    matrix in one reused buffer of ``d * min(_BLOCK, total columns)`` doubles.
     """
-    d = mean.size
-    buffer = np.empty(d * _BLOCK)
-    for part in parts:
-        for lo in range(0, part.shape[1], _BLOCK):
-            hi = min(lo + _BLOCK, part.shape[1])
-            block = buffer[:d * (hi - lo)].reshape(d, hi - lo)
-            np.subtract(part[:, lo:hi], mean[:, None], out=block)
-            yield block
+    d = parts[0][0].shape[0]
+    buffer = np.empty(d * min(_BLOCK, sum(columns.size for _, columns in parts)))
+    start = 0
+    for x, columns in parts:
+        for lo in range(0, columns.size, _BLOCK):
+            picked = columns[lo:lo + _BLOCK]
+            block = buffer[:d * picked.size].reshape(d, picked.size)
+            # the indices were range-checked; "clip" gathers with no temporary
+            np.take(x, picked, axis=1, out=block, mode="clip")
+            yield start, block
+            start += picked.size
 
 
 def _centred_row_blocks(parts, mean, n: int):

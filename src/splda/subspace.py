@@ -15,10 +15,8 @@ import warnings
 import numpy as np
 
 from . import linalg
-from .preprocess import _RANK_CUTOFF, RankTruncationWarning, class_sums, l2_normalize_columns
-
-# Labeled columns per scaled block of the pencil sum.
-_BLOCK = 256
+from .preprocess import (_RANK_CUTOFF, RankTruncationWarning, class_sums, column_blocks,
+                         l2_normalize_columns)
 
 
 def _pencil(source, labels, target, chosen, target_labels):
@@ -29,9 +27,9 @@ def _pencil(source, labels, target, chosen, target_labels):
     matrix of class sums and ``deg[i]`` the size of sample i's class,
     ``X D X^T = Y Y^T`` for ``Y = X * sqrt(deg)`` and
     ``X L X^T = X D X^T - S S^T``. ``Y Y^T`` is summed by
-    ``linalg.symmetric_sum`` over blocks of at most ``_BLOCK`` columns of
-    X, gathered and scaled in one reused buffer, and S over the same blocks
-    before they are scaled, so no d x m copy of X or Y is made. The second
+    ``linalg.symmetric_sum`` over the blocks of X that ``column_blocks``
+    gathers, each scaled in its buffer, and S over the same blocks before
+    they are scaled, so no d x m copy of X or Y is made. The second
     matrix is a copy of the first less ``S S^T``, by one more symmetric
     update. Both are held in their lower triangles, which is all that
     ``linalg.gen_eig_in_place`` reads; their strict upper triangles are zero.
@@ -43,19 +41,11 @@ def _pencil(source, labels, target, chosen, target_labels):
     sums = np.zeros((d, counts.size))
 
     def scaled_blocks():
-        buffer = np.empty(d * _BLOCK)
-        start = 0
-        for x, columns in ((source, np.arange(source.shape[1])), (target, chosen)):
-            for lo in range(0, columns.size, _BLOCK):
-                picked = columns[lo:lo + _BLOCK]
-                stop = start + picked.size
-                block = buffer[:d * picked.size].reshape(d, picked.size)
-                # the indices were range-checked; "clip" gathers with no temporary
-                np.take(x, picked, axis=1, out=block, mode="clip")
-                sums[:] += class_sums(block, ids[start:stop], counts.size)
-                block *= scale[start:stop]
-                start = stop
-                yield block
+        for start, block in column_blocks([(source, np.arange(source.shape[1])), (target, chosen)]):
+            stop = start + block.shape[1]
+            sums[:] += class_sums(block, ids[start:stop], counts.size)
+            block *= scale[start:stop]
+            yield block
 
     a = linalg.symmetric_sum(scaled_blocks(), np.zeros((d, d)))
     b = linalg.symmetric_sum([sums], a.copy(), alpha=-1.0)

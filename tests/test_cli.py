@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from splda import cli
 from splda.cli import main
 from splda.data import DomainDataset, RunConfig
-from splda.dataio import load_features, save_features
+from splda.dataio import gen_synthetic, load_features, save_features
 from splda.pipeline import run
 
 
@@ -53,6 +54,19 @@ def too_few_target_files(tmp_path):
     src = DomainDataset(rng.normal(size=(5, 18)), labels=np.repeat(np.arange(6), 3))
     tgt = DomainDataset(rng.normal(size=(5, 4)), domain="target")
     src_path, tgt_path = tmp_path / "s6.txt", tmp_path / "t4.txt"
+    save_features(src, src_path)
+    save_features(tgt, tgt_path)
+    return src_path, tgt_path
+
+
+def deficient_too_few_target_files(tmp_path):
+    # six classes on a 2-D plane in 5-D and four targets: PCA at d1=4
+    # truncates with a warning, and k-means needs six targets
+    rng = np.random.default_rng(3)
+    plane = rng.normal(size=(5, 2))
+    src = DomainDataset(plane @ rng.normal(size=(2, 18)), labels=np.repeat(np.arange(6), 3))
+    tgt = DomainDataset(plane @ rng.normal(size=(2, 4)), domain="target")
+    src_path, tgt_path = tmp_path / "s6p.txt", tmp_path / "t4p.txt"
     save_features(src, src_path)
     save_features(tgt, tgt_path)
     return src_path, tgt_path
@@ -162,6 +176,29 @@ class TestAdapt:
             assert code == 0
             reports.append(path.read_text())
         assert reports[0] == reports[1]
+
+    def test_serial_batch_holds_one_prepared_pair_above_one_pair(self, tmp_path):
+        # each pair prepares into 48 x 300 doubles; a batch that prepared
+        # every pair before its cells would hold three more at its peak
+        pair_bytes = 48 * 300 * 8
+        pairs = []
+        for seed in range(4):
+            paths = [tmp_path / f"s{seed}.txt", tmp_path / f"t{seed}.txt"]
+            for side, path in zip(gen_synthetic(3, 50, 64, 2.0, seed=seed), paths):
+                save_features(side, path)
+            pairs.append(["--source", str(paths[0]), "--target", str(paths[1])])
+        config = ["adapt", "--d1", "48", "--d2", "8", "--iters", "1", "--no-timing"]
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert main(config + sum(pairs[:count], [])) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(config + pairs[0])  # whatever the first run caches is not a pair
+        assert peak(4) - peak(1) <= 1.5 * pair_bytes
 
     def test_task_is_result_dict_plus_task_fields(self, pair_files, tmp_path):
         _, report = run_adapt(pair_files, tmp_path, "--no-timing")
@@ -289,6 +326,18 @@ class TestAblate:
         for task in tasks:
             assert task["status"] == "ok"
             assert "rank" in task["warnings"][0]
+
+    def test_failed_cells_keep_their_pairs_prepare_warnings(self, tmp_path):
+        code, text = run_ablate(tmp_path, [deficient_too_few_target_files(tmp_path)])
+        assert code == 1
+        tasks = json.loads(text)["tasks"]
+        ncp, clustered = tasks[:3], tasks[3:]
+        assert {t["status"] for t in ncp} == {"ok"}
+        assert {t["error"] for t in clustered} == {
+            "ValueError: need at least 6 target samples, got 4"}
+        rank = "requested 4 principal components but the numerical rank is 2; truncating"
+        assert all(t["warnings"][0] == rank for t in ncp)
+        assert all(t["warnings"] == [rank] for t in clustered)
 
     def test_stderr_prints_each_pair_message_once(self, pair_files, tmp_path, capsys):
         deficient = rank_deficient_files(tmp_path)

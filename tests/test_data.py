@@ -135,6 +135,14 @@ class TestDomainDataset:
         view = feats[:, :2]  # does not own its memory
         assert not np.shares_memory(DomainDataset(view).features, feats)
 
+    @pytest.mark.parametrize("channel", ["labels", "eval_labels"])
+    def test_label_channel_is_a_read_only_copy(self, channel):
+        ids = np.array([2, 0, 1])
+        kept = getattr(DomainDataset(np.ones((2, 3)), **{channel: ids}), channel)
+        assert not kept.flags.writeable and not np.shares_memory(kept, ids)
+        ids[0] = 5
+        assert ids.flags.writeable and kept.tolist() == [2, 0, 1]
+
     def test_without_eval_labels(self):
         ds = make_target(eval_labels=[0, 1, 2])
         assert ds.without_eval_labels().eval_labels is None

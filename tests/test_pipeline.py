@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from splda import dataio, linalg, pipeline, subspace
+from splda import linalg, pipeline, preprocess, subspace
 from splda.data import (ABLATION_GRID, LABELING_MODES, SELECTION_MODES, DomainDataset,
                         RunConfig)
 from splda.dataio import _nearest, _nearest_by_blocks, evaluate, gen_synthetic
@@ -554,7 +554,7 @@ class TestNnBaseline:
         xt[:, [0, 13, 29]] = 0.0
         with pytest.warns(ZeroVectorWarning):
             s, t = l2_normalize_columns(xs.copy()), l2_normalize_columns(xt.copy())
-        monkeypatch.setattr(dataio, "_NN_BLOCK", block)
+        monkeypatch.setattr(preprocess, "_BLOCK", block)
         nearest, zeros = _nearest_by_blocks(s, xt)
         np.testing.assert_array_equal(nearest, _nearest(s, t))
         assert zeros == 3
@@ -574,7 +574,7 @@ class TestNnBaseline:
         xt = np.array(tgt.features)
         xt[:, [1, 6]] = 0.0
         zeroed = DomainDataset(xt, eval_labels=tgt.eval_labels, domain="target")
-        monkeypatch.setattr(dataio, "_NN_BLOCK", 4)
+        monkeypatch.setattr(preprocess, "_BLOCK", 4)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             nn_baseline(src, zeroed)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from splda import preprocess
 from splda.dataio import gen_synthetic
 from splda.preprocess import (
     RankTruncationWarning,
@@ -127,6 +128,18 @@ class TestPcaFit:
         oracle = reference_pca_coordinates(x, 7)
         coords = np.hstack(pca_fit(parts_of(x, cuts), 7))
         assert np.abs(coords - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_scatter_route_block_width_changes_no_bit(self, rng, monkeypatch, block):
+        # small integers over 64 columns: the mean, the centred values and
+        # every sum of their products are exact, so the scatter matrix has
+        # the same bits in any summation order and only the columns that
+        # column_blocks gathers can change them
+        parts = parts_of(rng.integers(-9, 10, size=(12, 64)).astype(float), (23,))
+        wide = pca_fit(parts, 5)
+        monkeypatch.setattr(preprocess, "_BLOCK", block)
+        for narrow, default in zip(pca_fit(parts, 5), wide, strict=True):
+            np.testing.assert_array_equal(narrow, default)
 
     @pytest.mark.parametrize("cuts", [(), (7,), (3, 11)], ids=["1", "2", "3"])
     @pytest.mark.parametrize("shape", [(9, 20), (30, 20)], ids=["scatter", "gram"])

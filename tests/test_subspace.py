@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from splda import subspace
+from splda import preprocess, subspace
 from splda.preprocess import RankTruncationWarning, ZeroVectorWarning, l2_normalize_columns
 from splda.subspace import _pencil, embed, slpp_fit
 
@@ -88,6 +88,20 @@ class TestSlppFit:
             ours, oracle = np.tril(ours), np.tril(oracle)
             err = np.linalg.norm(ours - oracle) / np.linalg.norm(oracle)
             assert err <= 1e-12, err
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_pencil_block_width_changes_no_bit(self, rng, monkeypatch, block):
+        # integer columns in classes of 1, 4, 9 and 16: the degree scales
+        # are integers, so every sum is exact and has the same bits in any
+        # order; only the columns that column_blocks gathers, and the ids
+        # and scales matched to them, can change the pencil
+        data = rng.integers(-9, 10, size=(6, 30)).astype(float)
+        labels = rng.permutation(np.repeat([5, -2, 0, 11], [1, 4, 9, 16]))
+        parts = as_parts(data, labels, 13, rng)
+        wide = _pencil(*parts)
+        monkeypatch.setattr(preprocess, "_BLOCK", block)
+        for narrow, default in zip(_pencil(*parts), wide, strict=True):
+            np.testing.assert_array_equal(narrow, default)
 
     def test_parts_fit_spans_the_stacked_fit(self, rng):
         data = rng.normal(size=(8, 90))

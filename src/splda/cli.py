@@ -1,17 +1,18 @@
 """Command-line front end: adapt, ablate, synth and baseline-1nn.
 
 Batch tasks run independently (optionally in parallel); one failing task
-marks its record as failed and flips the exit code but never aborts its
-siblings. ``adapt`` and ``ablate`` load and prepare each source/target pair
-once, then run each of its configs (one for adapt, the nine grid cells for
-ablate) on the prepared pair as a task of its own. Reports are single JSON
-documents with a fixed schema version, serialized with sorted keys so equal
-results produce equal bytes.
+marks its records as failed and flips the exit code but never aborts its
+siblings. An ``adapt`` or ``ablate`` task is one source/target pair and a
+slice of its configs (one for adapt, the nine grid cells for ablate): the
+worker loads and prepares the pair, runs the slice on it and returns the
+records, so a worker holds one prepared pair and none crosses a process.
+Reports are single JSON documents with a fixed schema version, serialized
+with sorted keys so equal results produce equal bytes.
 
 Each command imports only what it runs: ``pipeline``, and with it scipy, is
 imported inside the ``adapt``/``ablate`` workers, so ``synth``,
 ``baseline-1nn`` and ``--help`` never load scipy; the process pool is
-imported only when ``--jobs`` is above 1.
+imported only when more than one task runs on more than one job.
 """
 
 import argparse
@@ -20,7 +21,6 @@ import os
 import sys
 import time
 import warnings
-from contextlib import contextmanager
 
 from .data import ABLATION_GRID, LABELING_MODES, RunConfig, SELECTION_MODES
 from .dataio import gen_synthetic, load_features, nn_baseline, save_features
@@ -87,85 +87,77 @@ def _baseline_task(task: dict) -> dict:
     return record
 
 
-def _prepare_task(task: dict) -> dict:
-    """Worker that loads one pair and prepares it; returns the pair or the error."""
-    from .pipeline import prepare
+def _pair_task(task: dict) -> list:
+    """Worker that prepares one pair and runs a slice of its configs on it.
 
+    Returns one record per config. A pair that fails to load or prepare
+    fails them all with its error; a config that fails keeps the pair's
+    preparation warnings and those its loop raised before the failure.
+    """
+    from .pipeline import prepare, run_prepared
+
+    records = [_record(task["source"], task["target"], c) for c in task["configs"]]
     started = time.perf_counter()
-    prepared = error = None
+    prepared = None
     try:
         # the config is checked before the pair, as a single run checks it
-        pca_dim = RunConfig(**task["config"]).pca_dim
+        pca_dim = RunConfig(**task["configs"][0]).pca_dim
         src = load_features(task["source"], domain="source")
         tgt = load_features(task["target"], domain="target")
         prepared = prepare(src, tgt, pca_dim)
+        del src, tgt  # the configs need only the prepared pair
     except Exception as exc:  # noqa: BLE001 - any task failure is reportable
-        error = _describe(exc)
-    return {"prepared": prepared, "error": error,
-            "prepare_s": time.perf_counter() - started}
+        for record in records:
+            record.update(status="failed", error=_describe(exc))
+    prepare_s = time.perf_counter() - started if task["timed_prepare"] else 0.0
+    for record in records:
+        started = time.perf_counter()
+        if prepared is not None:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    record.update(run_prepared(prepared, RunConfig(**record["config"])).to_dict())
+                except Exception as exc:  # noqa: BLE001 - any task failure is reportable
+                    record.update(status="failed", error=_describe(exc), warnings=[
+                        *prepared.warnings, *(str(w.message) for w in caught)])
+        record["wall_time_s"] = time.perf_counter() - started + prepare_s
+    return records
 
 
-def _cell_task(task: dict) -> dict:
-    """Worker that runs one config on a prepared pair; returns a report record.
+def _run_tasks(worker, tasks: list, jobs: int) -> list:
+    """``worker``'s results over ``tasks``, in order, on up to ``jobs`` processes.
 
-    A cell whose pair failed to prepare returns its failed record at once.
+    With one job, or one task, each task runs here in turn, so a serial
+    batch holds one task's data at a time.
     """
-    from .pipeline import run_prepared
+    if jobs == 1 or len(tasks) == 1:
+        return list(map(worker, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    record = _record(task["source"], task["target"], task["config"])
-    if task["error"] is not None:
-        record.update(status="failed", error=task["error"], wall_time_s=task["prepare_s"])
-        return record
-    started = time.perf_counter()
-    try:
-        record.update(run_prepared(task["prepared"], RunConfig(**task["config"])).to_dict())
-    except Exception as exc:  # noqa: BLE001 - any task failure is reportable
-        record.update(status="failed", error=_describe(exc),
-                      warnings=list(task["prepared"].warnings))
-    record["wall_time_s"] = time.perf_counter() - started + task["prepare_s"]
-    return record
-
-
-def _run_tasks(worker, tasks, count: int, pool):
-    """An iterator of ``worker``'s results over the ``count`` ``tasks``, in order.
-
-    A pool takes every task at once; otherwise each runs here when reached.
-    """
-    if pool is not None and count > 1:
-        return pool.map(worker, tasks)
-    return map(worker, tasks)
-
-
-@contextmanager
-def _pool(jobs: int):
-    if jobs > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # spawned workers start from a fresh import; forking a process that
-        # may already run BLAS threads is unsafe
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            yield pool
-    else:
-        yield None
+    # spawned workers start from a fresh import; forking a process that
+    # may already run BLAS threads is unsafe
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        return list(pool.map(worker, tasks))
 
 
 def _run_cells(pairs: list, configs: list, jobs: int) -> list:
-    """Prepare each pair once, then run every config on it; one record per cell.
+    """Run every config on every pair; the records are pair-major, in config order.
 
-    Every cell of a pair that fails to prepare gets a failed record with its
-    error. Loading and preparing a pair is timed into its record only when
-    the pair has a single config (adapt); ablate's cells share it, so each
-    cell's time is its own loop.
+    Each pair's configs are cut into ``max(1, min(len(configs), jobs //
+    len(pairs)))`` contiguous slices, one task each, so ``--jobs 1`` runs one
+    task per pair and one pair still uses every job. Loading and preparing
+    a pair is timed into its records only when it has one config (adapt).
     """
-    with _pool(jobs) as pool:
-        tasks = [{"source": s, "target": t, "config": configs[0]} for s, t in pairs]
-        stage = _run_tasks(_prepare_task, tasks, len(tasks), pool)
-        cells = (dict(p, source=s, target=t, config=c,
-                      prepare_s=p["prepare_s"] if len(configs) == 1 else 0.0)
-                 for (s, t), p in zip(pairs, stage) for c in configs)
-        return list(_run_tasks(_cell_task, cells, len(pairs) * len(configs), pool))
+    cuts = max(1, min(len(configs), jobs // len(pairs)))
+    # slice i starts at config ceil(i * len / cuts), so longer slices come
+    # first; that splits the grid's 69 fits 35/34 over two jobs
+    edges = [-(-i * len(configs) // cuts) for i in range(cuts + 1)]
+    slices = [configs[a:b] for a, b in zip(edges, edges[1:])]
+    tasks = [{"source": s, "target": t, "configs": c, "timed_prepare": len(configs) == 1}
+             for s, t in pairs for c in slices]
+    return [r for chunk in _run_tasks(_pair_task, tasks, jobs) for r in chunk]
 
 
 def _finish(command: str, records: list, args) -> int:
@@ -234,9 +226,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_baseline(args) -> int:
     tasks = [{"source": s, "target": t} for s, t in _pairs(args)]
-    with _pool(args.jobs) as pool:
-        records = list(_run_tasks(_baseline_task, tasks, len(tasks), pool))
-    return _finish("baseline-1nn", records, args)
+    return _finish("baseline-1nn", _run_tasks(_baseline_task, tasks, args.jobs), args)
 
 
 def _cmd_synth(args) -> int:

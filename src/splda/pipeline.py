@@ -130,7 +130,8 @@ def run(src: DomainDataset, tgt: DomainDataset, config: RunConfig) -> Adaptation
 def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
     """Run the adaptation loop on a pair that :func:`prepare` has made.
 
-    The result's warnings are the preparation's followed by the loop's.
+    The result's warnings are the preparation's followed by the loop's. A
+    run that fails re-emits the warnings its loop raised, then raises.
     """
     if config.pca_dim != prepared.pca_dim:
         raise ValueError(
@@ -139,34 +140,41 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
         )
     xs, xt, ys = prepared.source, prepared.target, prepared.source_labels
     truth = prepared.target_truth
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        # every embedding is centred on the projection of the pooled columns' mean
-        mean = (xs.sum(axis=1) + xt.sum(axis=1)) / (xs.shape[1] + xt.shape[1])
-        subspace_dim = min(config.subspace_dim, xs.shape[0])
+    # every embedding is centred on the projection of the pooled columns' mean
+    mean = (xs.sum(axis=1) + xt.sum(axis=1)) / (xs.shape[1] + xt.shape[1])
+    subspace_dim = min(config.subspace_dim, xs.shape[0])
 
-        def fit_and_label(chosen: np.ndarray, classes: np.ndarray):
-            # the source columns plus the chosen targets under their pseudo-labels
-            projection = slpp_fit(xs, ys, subspace_dim, target=xt, chosen=chosen,
-                                  target_labels=classes[chosen])
-            protos = compute_prototypes(embed(projection, xs, mean), ys, prepared.n_classes)
-            return pseudo_label(embed(projection, xt, mean), protos, config.labeling)
+    def fit_and_label(chosen: np.ndarray, classes: np.ndarray):
+        # the source columns plus the chosen targets under their pseudo-labels
+        projection = slpp_fit(xs, ys, subspace_dim, target=xt, chosen=chosen,
+                              target_labels=classes[chosen])
+        protos = compute_prototypes(embed(projection, xs, mean), ys, prepared.n_classes)
+        return pseudo_label(embed(projection, xt, mean), protos, config.labeling)
 
-        def snapshot(k: int, n_selected: int, classes: np.ndarray) -> IterationSnapshot:
-            acc = None if truth is None else evaluate(classes, truth)
-            return IterationSnapshot(iteration=k, selected_count=n_selected, accuracy=acc)
+    def snapshot(k: int, n_selected: int, classes: np.ndarray) -> IterationSnapshot:
+        acc = None if truth is None else evaluate(classes, truth)
+        return IterationSnapshot(iteration=k, selected_count=n_selected, accuracy=acc)
 
-        nothing = np.empty(0, dtype=int)
-        source_only = classes, confidences = fit_and_label(nothing, nothing)
-        snapshots = [snapshot(0, 0, classes)]
-        for k in range(1, config.iterations + 1):
-            chosen = select(classes, confidences, k, config.iterations, config.selection)
-            if chosen.size:
-                classes, confidences = fit_and_label(chosen, classes)
-            else:
-                # a fit on no pseudo-labels is the source-only fit
-                classes, confidences = source_only
-            snapshots.append(snapshot(k, chosen.size, classes))
+    nothing = np.empty(0, dtype=int)
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            source_only = classes, confidences = fit_and_label(nothing, nothing)
+            snapshots = [snapshot(0, 0, classes)]
+            for k in range(1, config.iterations + 1):
+                chosen = select(classes, confidences, k, config.iterations, config.selection)
+                if chosen.size:
+                    classes, confidences = fit_and_label(chosen, classes)
+                else:
+                    # a fit on no pseudo-labels is the source-only fit
+                    classes, confidences = source_only
+                snapshots.append(snapshot(k, chosen.size, classes))
+    except Exception:
+        # a failed run has no result to hold its warnings, so they go on
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        raise
     return AdaptationResult(
         predictions=np.asarray(prepared.label_names)[classes],
         snapshots=tuple(snapshots),

@@ -18,7 +18,7 @@ from splda.data import RunConfig
 from splda.dataio import gen_synthetic, load_features
 from splda.labeling import fuse_and_label, ncp_probabilities, sp_probabilities
 from splda.linalg import gen_eig_in_place, solve_assignment
-from splda.pipeline import nn_baseline, run
+from splda.pipeline import nn_baseline, run, run_ablation
 from splda.selection import select
 
 from conftest import brute_force_assignment, random_spd
@@ -219,3 +219,34 @@ def test_criterion_6_determinism(tmp_path):
         reports.append(path.read_bytes())
     checks.append(reports[0] == reports[1])
     _verdict(6, "determinism", all(checks))
+
+
+# 31 classes of width 1024 at d1=256: unlike criterion 3's near-ceiling
+# pair, the selection modes here lie points apart (see README)
+ABLATION_SUITE = dict(classes=31, per_class=20, dim=1024, shift_magnitude=8.0,
+                      separation=8.0)
+ABLATION_CONFIG = RunConfig(pca_dim=256, subspace_dim=64, iterations=10)
+ABLATION_SEEDS = range(6)
+
+
+def test_criterion_7_selection_ablation():
+    started = time.perf_counter()
+    checks = []
+    leads = {"ncp": [], "sp": [], "fused": []}
+    for seed in ABLATION_SEEDS:
+        src, tgt = gen_synthetic(seed=seed, **ABLATION_SUITE)
+        finals = {cell: result.final_accuracy
+                  for cell, result in run_ablation(src, tgt, ABLATION_CONFIG).items()}
+        for labeling, lead in leads.items():
+            none, all_, progressive = (finals[labeling, selection]
+                                       for selection in ("none", "all", "progressive"))
+            checks.append(none < all_ < progressive)
+            lead.append(progressive - all_)
+    elapsed = time.perf_counter() - started
+    means = {labeling: float(np.mean(lead)) for labeling, lead in leads.items()}
+    print(f"\n[acceptance] criterion 7 detail: none < all < progressive in "
+          f"{sum(checks)}/{len(checks)} seed-mode pairs, mean lead of progressive "
+          f"over all " + ", ".join(f"{k}={v:.2f}" for k, v in means.items())
+          + f", {elapsed:.1f}s")
+    checks.extend(mean >= 5.0 for mean in means.values())
+    _verdict(7, "selection ablation", all(checks))

@@ -9,7 +9,7 @@ from splda import cli
 from splda.cli import main
 from splda.data import DomainDataset, RunConfig
 from splda.dataio import gen_synthetic, load_features, save_features
-from splda.pipeline import run
+from splda.pipeline import PreparedPair, run
 
 
 @pytest.fixture
@@ -67,6 +67,21 @@ def deficient_too_few_target_files(tmp_path):
     src = DomainDataset(plane @ rng.normal(size=(2, 18)), labels=np.repeat(np.arange(6), 3))
     tgt = DomainDataset(plane @ rng.normal(size=(2, 4)), domain="target")
     src_path, tgt_path = tmp_path / "s6p.txt", tmp_path / "t4p.txt"
+    save_features(src, src_path)
+    save_features(tgt, tgt_path)
+    return src_path, tgt_path
+
+
+def loop_warning_too_few_target_files(tmp_path):
+    # six classes of source samples on a 2-D plane in 5-D and four generic
+    # targets: PCA at d1=4 keeps full rank, but the source-only SLPP fit at
+    # d2=4 warns that its labeled columns have rank 3, and k-means needs six
+    # targets
+    rng = np.random.default_rng(5)
+    plane = rng.normal(size=(5, 2))
+    src = DomainDataset(plane @ rng.normal(size=(2, 18)), labels=np.repeat(np.arange(6), 3))
+    tgt = DomainDataset(rng.normal(size=(5, 4)), domain="target")
+    src_path, tgt_path = tmp_path / "s6w.txt", tmp_path / "t4w.txt"
     save_features(src, src_path)
     save_features(tgt, tgt_path)
     return src_path, tgt_path
@@ -200,6 +215,30 @@ class TestAdapt:
         main(config + pairs[0])  # whatever the first run caches is not a pair
         assert peak(4) - peak(1) <= 1.5 * pair_bytes
 
+    def test_serial_batch_peaks_within_a_quarter_pair_of_one_pair(self, tmp_path):
+        # each pair prepares into 48 x 300 doubles; a task per pair drops its
+        # pair when it returns, so four pairs peak where one does
+        pair_bytes = 48 * 300 * 8
+        pairs = []
+        for seed in range(4):
+            paths = [tmp_path / f"s{seed}.txt", tmp_path / f"t{seed}.txt"]
+            for side, path in zip(gen_synthetic(3, 50, 64, 2.0, seed=seed), paths):
+                save_features(side, path)
+            pairs.append(["--source", str(paths[0]), "--target", str(paths[1])])
+        one = ["adapt", "--d1", "48", "--d2", "8", "--iters", "1", "--no-timing", *pairs[0]]
+        four = one + sum(pairs[1:], [])
+
+        def peak(argv):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(one)  # whatever the first run caches is not a pair
+        assert peak(four) - peak(one) <= 0.25 * pair_bytes
+
     def test_task_is_result_dict_plus_task_fields(self, pair_files, tmp_path):
         _, report = run_adapt(pair_files, tmp_path, "--no-timing")
         task = report["tasks"][0]
@@ -286,12 +325,14 @@ class TestAblate:
     def test_parallel_jobs_match_serial(self, pair_files, tmp_path):
         pairs = [pair_files, rank_deficient_files(tmp_path),
                  too_few_target_files(tmp_path)]
-        _, serial = run_ablate(tmp_path, pairs, "--jobs", "1", "--no-timing",
-                               name="serial.json")
-        code, parallel = run_ablate(tmp_path, pairs, "--jobs", "2", "--no-timing",
-                                    name="parallel.json")
-        assert serial == parallel
+        code, serial = run_ablate(tmp_path, pairs, "--jobs", "1", "--no-timing",
+                                  name="serial.json")
         assert code == 1
+        for jobs in ("2", "3", "4"):
+            code, parallel = run_ablate(tmp_path, pairs, "--jobs", jobs, "--no-timing",
+                                        name=f"parallel{jobs}.json")
+            assert code == 1
+            assert parallel == serial, f"--jobs {jobs}"
         tasks = json.loads(serial)["tasks"]
         assert len(tasks) == 27
         assert {t["status"] for t in tasks[:18]} == {"ok"}
@@ -302,6 +343,25 @@ class TestAblate:
         assert {t["status"] for t in clustered} == {"failed"}
         assert {t["error"] for t in clustered} == {
             "ValueError: need at least 6 target samples, got 4"}
+
+    def test_one_pair_sliced_over_three_jobs_matches_serial(self, tmp_path):
+        # three slices of three cells, each loading and preparing the pair
+        pairs = [deficient_too_few_target_files(tmp_path)]
+        _, serial = run_ablate(tmp_path, pairs, "--jobs", "1", "--no-timing",
+                               name="serial.json")
+        code, sliced = run_ablate(tmp_path, pairs, "--jobs", "3", "--no-timing",
+                                  name="sliced.json")
+        assert code == 1
+        assert sliced == serial
+
+    def test_pool_pickles_no_prepared_pair(self, pair_files, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a PreparedPair was pickled")
+
+        monkeypatch.setattr(PreparedPair, "__reduce__", refuse)
+        code, text = run_ablate(tmp_path, [pair_files], "--jobs", "2")
+        assert code == 0
+        assert len(json.loads(text)["tasks"]) == 9
 
     def test_pair_that_fails_to_prepare(self, pair_files, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -338,6 +398,19 @@ class TestAblate:
         rank = "requested 4 principal components but the numerical rank is 2; truncating"
         assert all(t["warnings"][0] == rank for t in ncp)
         assert all(t["warnings"] == [rank] for t in clustered)
+
+    def test_failed_cells_keep_the_warnings_their_loop_raised(self, tmp_path):
+        code, text = run_ablate(tmp_path, [loop_warning_too_few_target_files(tmp_path)],
+                                "--d2", "4")
+        assert code == 1
+        tasks = json.loads(text)["tasks"]
+        ncp, clustered = tasks[:3], tasks[3:]
+        assert {t["status"] for t in ncp} == {"ok"}
+        assert {t["error"] for t in clustered} == {
+            "ValueError: need at least 6 target samples, got 4"}
+        slpp = "requested 4 SLPP components but the labeled columns have rank 3; truncating"
+        assert all(t["warnings"][0] == slpp for t in ncp)
+        assert all(t["warnings"] == [slpp] for t in clustered)
 
     def test_stderr_prints_each_pair_message_once(self, pair_files, tmp_path, capsys):
         deficient = rank_deficient_files(tmp_path)

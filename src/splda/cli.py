@@ -147,8 +147,12 @@ def _run_cells(pairs: list, configs: list, jobs: int) -> list:
 
     Each pair's configs are cut into ``max(1, min(len(configs), jobs //
     len(pairs)))`` contiguous slices, one task each, so ``--jobs 1`` runs one
-    task per pair and one pair still uses every job. Loading and preparing
-    a pair is timed into its records only when it has one config (adapt).
+    task per pair and one pair still uses every job. Spare jobs stay idle
+    when the pair count does not divide ``jobs``: every pair runs the same
+    configs, so a second slice for one pair cannot end the batch sooner
+    while another pair runs all of its configs in one worker. Every pair is
+    split once ``jobs >= 2 * len(pairs)``. Loading and preparing a pair is
+    timed into its records only when it has one config (adapt).
     """
     cuts = max(1, min(len(configs), jobs // len(pairs)))
     # slice i starts at config ceil(i * len / cuts), so longer slices come

@@ -1,12 +1,12 @@
 """Pseudo-labels from class prototypes and target clusters.
 
-Two complementary views produce per-class conditional probabilities for
-every target sample: distances to source class prototypes (ncp), and
-distances to K-means cluster centers that have been matched one-to-one with
-the classes (sp). Fusing tables takes their elementwise maximum. Prototypes
-and centers are d x C matrices with one column per class.
-:func:`pseudo_label` is the one place that reads the labeling mode: it
-builds the tables that mode names and labels every target from them.
+Two complementary views give per-class conditional probabilities for every
+target sample, and both have one form: a softmax over the negated distances
+to d x C centers with one column per class. The centers are the source
+class prototypes (ncp) or the K-means cluster centers matched one-to-one
+with the classes (sp). :func:`pseudo_label` is the one place that reads the
+labeling mode: it builds the tables that mode names, fuses them by their
+elementwise maximum and labels every target.
 """
 
 import numpy as np
@@ -50,27 +50,15 @@ def _squared_distances(x, centers) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-def _distance_table(embedded, centers) -> np.ndarray:
-    """n x k table of Euclidean distances between columns."""
-    return np.sqrt(_squared_distances(embedded, centers))
-
-
-def _softmax_neg_distance(dists: np.ndarray) -> np.ndarray:
-    # exp(-d) / sum_y exp(-d): shifting by the row minimum distance keeps
-    # the exponentials in range without changing the ratios.
-    logits = -(dists - dists.min(axis=1, keepdims=True))
-    table = np.exp(logits)
-    return table / table.sum(axis=1, keepdims=True)
-
-
-def ncp_probabilities(tgt_embedded, protos) -> np.ndarray:
-    """Row-stochastic table of p(class | sample) from prototype distances."""
-    return _softmax_neg_distance(_distance_table(tgt_embedded, protos))
-
-
-def sp_probabilities(tgt_embedded, centers) -> np.ndarray:
-    """Row-stochastic table of p(class | sample) from class-indexed centers."""
-    return _softmax_neg_distance(_distance_table(tgt_embedded, centers))
+def _probabilities(x, centers) -> np.ndarray:
+    """Row-stochastic n x k table of p(class | sample): the softmax of the
+    negated Euclidean distances between the columns of ``x`` and ``centers``."""
+    d = np.sqrt(_squared_distances(x, centers))
+    # shifting by the row minimum distance keeps the exponentials in range
+    # without changing the ratios
+    table = np.exp(d.min(axis=1, keepdims=True) - d)
+    table /= table.sum(axis=1, keepdims=True)
+    return table
 
 
 def kmeans_clusters(tgt_embedded, init, max_iter: int = KMEANS_MAX_ITER):
@@ -132,40 +120,24 @@ def match_clusters(centers, protos) -> np.ndarray:
             f"cluster/prototype shape mismatch: {centers.shape} vs {protos.shape}"
         )
     by_class = np.empty_like(centers)
-    by_class[:, solve_assignment(_distance_table(centers, protos))] = centers
+    by_class[:, solve_assignment(np.sqrt(_squared_distances(centers, protos)))] = centers
     return by_class
 
 
 def pseudo_label(tgt_embedded, protos, mode: str):
     """Per-sample ``(classes, confidences)`` of the targets under ``mode``.
 
-    ``ncp`` reads the prototype table, ``sp`` the table of the k-means
-    centers matched to the classes, and ``fused`` both.
+    ``ncp`` reads the table of the prototypes, ``sp`` the table of the
+    k-means centers matched to the classes, and ``fused`` the elementwise
+    maximum of both. The label is the argmax class (ties go to the smallest
+    class id) and the confidence is the winning probability.
     """
     if mode not in LABELING_MODES:
         raise ValueError(f"unknown labeling mode {mode!r}")
-    tables = []
-    if mode in ("ncp", "fused"):
-        tables.append(ncp_probabilities(tgt_embedded, protos))
-    if mode in ("sp", "fused"):
+    table = None if mode == "sp" else _probabilities(tgt_embedded, protos)
+    if mode != "ncp":
         centers, _ = kmeans_clusters(tgt_embedded, protos)
-        tables.append(sp_probabilities(tgt_embedded, match_clusters(centers, protos)))
-    return fuse_and_label(*tables)
-
-
-def fuse_and_label(table, *others):
-    """Per-sample ``(classes, confidences)`` from one or more probability tables.
-
-    The tables are fused by their elementwise maximum. The label is the
-    argmax class (ties go to the smallest class id) and the confidence is
-    the winning probability.
-    """
-    table = np.asarray(table, dtype=float)
-    for other in others:
-        other = np.asarray(other, dtype=float)
-        if other.shape != table.shape:
-            raise ValueError(f"table shape mismatch: {table.shape} vs {other.shape}")
-        table = np.maximum(table, other)
+        sp = _probabilities(tgt_embedded, match_clusters(centers, protos))
+        table = sp if table is None else np.maximum(table, sp, out=table)
     classes = np.argmax(table, axis=1)
-    confidences = table[np.arange(table.shape[0]), classes]
-    return classes, confidences
+    return classes, table[np.arange(table.shape[0]), classes]

@@ -16,7 +16,7 @@ import pytest
 from splda.cli import main
 from splda.data import RunConfig
 from splda.dataio import gen_synthetic, load_features
-from splda.labeling import fuse_and_label, ncp_probabilities, sp_probabilities
+from splda.labeling import _probabilities, kmeans_clusters, match_clusters, pseudo_label
 from splda.linalg import gen_eig_in_place, solve_assignment
 from splda.pipeline import nn_baseline, run, run_ablation
 from splda.selection import select
@@ -78,21 +78,33 @@ def test_criterion_2_equation_level_properties():
     checks = []
     rng = np.random.default_rng(2001)
 
+    fused_draws = 0
     for _ in range(25):
         dim = int(rng.integers(2, 8))
         n_classes = int(rng.integers(2, 7))
         z = rng.normal(size=(dim, int(rng.integers(5, 40))))
         protos = rng.normal(size=(dim, n_classes))
         centers = rng.normal(size=(dim, n_classes))
-        p1 = ncp_probabilities(z, protos)
-        p2 = sp_probabilities(z, centers)
+        p1 = _probabilities(z, protos)
+        p2 = _probabilities(z, centers)
         checks.append(np.abs(p1.sum(axis=1) - 1.0).max() <= 1e-10)
         checks.append(np.abs(p2.sum(axis=1) - 1.0).max() <= 1e-10)
-        table = np.maximum(p1, p2)
+        if z.shape[1] < n_classes:
+            # k-means needs a target per class, so there is no sp table to fuse
+            try:
+                pseudo_label(z, protos, "fused")
+                checks.append(False)
+            except ValueError as exc:
+                checks.append("need at least" in str(exc))
+            continue
+        fused_draws += 1
+        matched = match_clusters(kmeans_clusters(z, protos)[0], protos)
+        table = np.maximum(p1, _probabilities(z, matched))
         direct = table[np.arange(table.shape[0]), np.argmax(table, axis=1)]
-        classes, confidences = fuse_and_label(p1, p2)
+        classes, confidences = pseudo_label(z, protos, "fused")
         checks.append(np.array_equal(confidences, direct))
         checks.append(np.array_equal(classes, np.argmax(table, axis=1)))
+    checks.append(fused_draws == 24)
 
     for trial in range(30):
         trial_rng = np.random.default_rng(3000 + trial)

@@ -4,15 +4,12 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from splda.labeling import (
-    _distance_table,
+    _probabilities,
     _squared_distances,
     compute_prototypes,
-    fuse_and_label,
     kmeans_clusters,
     match_clusters,
-    ncp_probabilities,
     pseudo_label,
-    sp_probabilities,
 )
 from splda.preprocess import ZeroVectorWarning
 
@@ -61,29 +58,25 @@ class TestComputePrototypes:
             compute_prototypes(np.ones((2, 3)), [0, 1, 1], 3)
 
 
-class TestNcpProbabilities:
+class TestProbabilities:
     def test_equidistant_gives_uniform(self):
-        protos = np.eye(4)
-        z = np.zeros((4, 2))
-        table = ncp_probabilities(z, protos)
+        table = _probabilities(np.zeros((4, 2)), np.eye(4))
         np.testing.assert_allclose(table, 0.25, atol=1e-12)
 
-    def test_sample_at_prototype_wins(self):
-        protos = np.eye(3)
+    def test_sample_at_center_wins(self):
         z = np.eye(3)[:, [2]]
-        assert np.argmax(ncp_probabilities(z, protos)[0]) == 2
+        assert np.argmax(_probabilities(z, np.eye(3))[0]) == 2
 
     def test_rows_sum_to_one_and_match_high_precision_oracle(self, rng):
         z = rng.normal(size=(5, 20))
-        protos = rng.normal(size=(5, 4))
-        table = ncp_probabilities(z, protos)
+        centers = rng.normal(size=(5, 4))
+        table = _probabilities(z, centers)
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-10)
-        oracle = mp_softmax_rows(euclidean_rows(z, protos))
+        oracle = mp_softmax_rows(euclidean_rows(z, centers))
         np.testing.assert_allclose(table, oracle, atol=1e-10)
 
     def test_entries_strictly_inside_unit_interval(self, rng):
-        table = ncp_probabilities(rng.normal(size=(3, 50)),
-                                  rng.normal(size=(3, 5)))
+        table = _probabilities(rng.normal(size=(3, 50)), rng.normal(size=(3, 5)))
         assert table.min() > 0.0 and table.max() < 1.0
 
 
@@ -117,9 +110,9 @@ class TestDistanceTable:
                                      1e-12 * scale + 1e-300)
         # away from coincident columns the distances agree to 1e-12 relative
         apart = oracle ** 2 > 1e-2 * scale
-        np.testing.assert_allclose(_distance_table(x, c)[apart], oracle[apart], rtol=1e-12)
-        np.testing.assert_array_equal(np.argmin(_distance_table(x, c), axis=1),
-                                      np.argmin(oracle, axis=1))
+        dists = np.sqrt(_squared_distances(x, c))
+        np.testing.assert_allclose(dists[apart], oracle[apart], rtol=1e-12)
+        np.testing.assert_array_equal(np.argmin(dists, axis=1), np.argmin(oracle, axis=1))
 
     def test_nonnegative_at_coincident_columns(self):
         c = np.random.default_rng(2).normal(size=(5, 4)) * 1e3
@@ -127,7 +120,7 @@ class TestDistanceTable:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            _distance_table(np.ones((3, 2)), np.ones((4, 2)))
+            _squared_distances(np.ones((3, 2)), np.ones((4, 2)))
 
 
 class TestKmeans:
@@ -237,81 +230,82 @@ class TestMatchClusters:
             match_clusters(np.ones((2, 3)), np.ones((2, 4)))
 
 
-class TestSpProbabilities:
-    def test_sample_at_center_wins(self):
-        z = np.eye(3)[:, [1]]
-        assert np.argmax(sp_probabilities(z, np.eye(3))[0]) == 1
+def labeling_tables(z, protos):
+    """The ncp table and the table of the matched k-means centers."""
+    centers, _ = kmeans_clusters(z, protos)
+    return {"ncp": _probabilities(z, protos),
+            "sp": _probabilities(z, match_clusters(centers, protos))}
 
-    def test_equidistant_uniform(self):
-        table = sp_probabilities(np.zeros((5, 3)), np.eye(5))
-        np.testing.assert_allclose(table, 0.2, atol=1e-12)
 
-    def test_rows_sum_to_one_vs_oracle(self, rng):
-        z = rng.normal(size=(4, 15))
-        centers = rng.normal(size=(4, 3))
-        table = sp_probabilities(z, centers)
-        np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-10)
-        oracle = mp_softmax_rows(euclidean_rows(z, centers))
-        np.testing.assert_allclose(table, oracle, atol=1e-10)
+def clustered_targets(rng):
+    z = rng.normal(size=(4, 40)) + np.repeat(rng.normal(size=(4, 5)) * 2.0, 8, axis=1)
+    return z, rng.normal(size=(4, 5))
 
 
 class TestFuseAndLabel:
-    def test_elementwise_max_example(self):
-        classes, confidences = fuse_and_label(np.array([[0.7, 0.3]]),
-                                              np.array([[0.2, 0.8]]))
-        assert classes.tolist() == [1]
-        assert confidences.tolist() == [0.8]
+    """The fusion rule of :func:`pseudo_label`, on the same targets and
+    prototypes in every mode."""
 
-    def test_identical_tables_match_single_modes(self, rng):
-        p = rng.dirichlet(np.ones(4), size=10)
-        fused = fuse_and_label(p, p)
-        single = fuse_and_label(p)
-        np.testing.assert_array_equal(fused[0], single[0])
-        np.testing.assert_array_equal(fused[1], single[1])
+    # on a line, prototypes at -1 and 1 and k-means centers at 0 and 2: the
+    # sample at 0.5 is 0.5 from prototype 1 and from center 0, so the two
+    # tables give it the same winning probability for different classes
+    LINE = np.array([[-0.5, 0.5, 1.5, 2.5]]), np.array([[-1.0, 1.0]])
+
+    def test_elementwise_max_example(self):
+        z, protos = self.LINE
+        np.testing.assert_array_equal(labeling_tables(z, protos)["sp"],
+                                      _probabilities(z, np.array([[0.0, 2.0]])))
+        classes, confidences = pseudo_label(z, protos, "fused")
+        near, far = 1 / (1 + np.exp(-1.0)), 1 / (1 + np.exp(-2.0))
+        assert classes.tolist() == [0, 0, 1, 1]
+        np.testing.assert_allclose(confidences, [far, near, far, far], rtol=1e-15)
+
+    def test_identical_tables_match_single_modes(self):
+        # samples on the prototypes: k-means keeps them as its centers
+        z, protos = np.eye(3)[:, [0, 0, 1, 2, 2]], np.eye(3)
+        fused = pseudo_label(z, protos, "fused")
+        for mode in ("ncp", "sp"):
+            single = pseudo_label(z, protos, mode)
+            np.testing.assert_array_equal(fused[0], single[0])
+            np.testing.assert_array_equal(fused[1], single[1])
 
     def test_fused_argmax_equals_concatenated_argmax(self, rng):
-        p1 = rng.dirichlet(np.ones(5), size=30)
-        p2 = rng.dirichlet(np.ones(5), size=30)
-        classes, _ = fuse_and_label(p1, p2)
-        stacked = np.hstack([p1, p2])
-        expected = np.argmax(stacked, axis=1) % 5
-        np.testing.assert_array_equal(classes, expected)
+        z, protos = clustered_targets(rng)
+        tables = labeling_tables(z, protos)
+        classes, confidences = pseudo_label(z, protos, "fused")
+        stacked = np.hstack([tables["ncp"], tables["sp"]])
+        np.testing.assert_array_equal(classes, np.argmax(stacked, axis=1) % 5)
+        np.testing.assert_array_equal(confidences, stacked.max(axis=1))
 
     def test_fused_confidence_dominates_both_modes(self, rng):
-        p1 = rng.dirichlet(np.ones(3), size=20)
-        p2 = rng.dirichlet(np.ones(3), size=20)
-        _, fused = fuse_and_label(p1, p2)
-        assert np.all(fused >= fuse_and_label(p1)[1])
-        assert np.all(fused >= fuse_and_label(p2)[1])
+        z, protos = clustered_targets(rng)
+        _, fused = pseudo_label(z, protos, "fused")
+        assert np.all(fused >= pseudo_label(z, protos, "ncp")[1])
+        assert np.all(fused >= pseudo_label(z, protos, "sp")[1])
 
     def test_tie_goes_to_smaller_class(self):
-        classes, _ = fuse_and_label(np.array([[0.5, 0.5]]))
-        assert classes.tolist() == [0]
-        classes, _ = fuse_and_label(np.array([[0.3, 0.7]]), np.array([[0.7, 0.3]]))
-        assert classes.tolist() == [0]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            fuse_and_label(np.ones((2, 2)) / 2, np.ones((2, 3)) / 3)
+        # targets equidistant from every prototype and center: uniform tables
+        for mode in ("ncp", "sp", "fused"):
+            classes, _ = pseudo_label(np.zeros((4, 4)), np.eye(4), mode)
+            assert classes.tolist() == [0, 0, 0, 0]
+        # a tie made by the fusion: ncp says class 1 and sp class 0, equally sure
+        z, protos = self.LINE
+        ncp = pseudo_label(z, protos, "ncp")
+        fused = pseudo_label(z, protos, "fused")
+        assert ncp[0][1] == 1 and fused[0][1] == 0
+        assert ncp[1][1] == fused[1][1]
 
 
 class TestPseudoLabel:
-    @staticmethod
-    def tables(z, protos):
-        centers, _ = kmeans_clusters(z, protos)
-        return {"ncp": ncp_probabilities(z, protos),
-                "sp": sp_probabilities(z, match_clusters(centers, protos))}
-
     @pytest.mark.parametrize("mode, read", [("ncp", ["ncp"]), ("sp", ["sp"]),
                                             ("fused", ["ncp", "sp"])])
     def test_labels_from_the_tables_the_mode_reads(self, rng, mode, read):
-        z = rng.normal(size=(4, 40)) + np.repeat(rng.normal(size=(4, 5)) * 2.0, 8, axis=1)
-        protos = rng.normal(size=(4, 5))
-        tables = self.tables(z, protos)
+        z, protos = clustered_targets(rng)
+        tables = labeling_tables(z, protos)
+        table = np.maximum.reduce([tables[name] for name in read])
         classes, confidences = pseudo_label(z, protos, mode)
-        expected = fuse_and_label(*(tables[name] for name in read))
-        np.testing.assert_array_equal(classes, expected[0])
-        np.testing.assert_array_equal(confidences, expected[1])
+        np.testing.assert_array_equal(classes, np.argmax(table, axis=1))
+        np.testing.assert_array_equal(confidences, table.max(axis=1))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="labeling mode"):

@@ -4,6 +4,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from splda.labeling import (
+    KMEANS_MAX_ITER,
     _probabilities,
     _squared_distances,
     compute_prototypes,
@@ -58,21 +59,23 @@ class TestComputePrototypes:
             compute_prototypes(np.ones((2, 3)), [0, 1, 1], 3)
 
 
-class TestProbabilities:
+class TestNcpProbabilities:
+    """The table ``ncp`` reads: one row per target, one column per prototype."""
+
     def test_equidistant_gives_uniform(self):
         table = _probabilities(np.zeros((4, 2)), np.eye(4))
         np.testing.assert_allclose(table, 0.25, atol=1e-12)
 
-    def test_sample_at_center_wins(self):
+    def test_sample_at_prototype_wins(self):
         z = np.eye(3)[:, [2]]
         assert np.argmax(_probabilities(z, np.eye(3))[0]) == 2
 
     def test_rows_sum_to_one_and_match_high_precision_oracle(self, rng):
         z = rng.normal(size=(5, 20))
-        centers = rng.normal(size=(5, 4))
-        table = _probabilities(z, centers)
+        protos = rng.normal(size=(5, 4))
+        table = _probabilities(z, protos)
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-10)
-        oracle = mp_softmax_rows(euclidean_rows(z, centers))
+        oracle = mp_softmax_rows(euclidean_rows(z, protos))
         np.testing.assert_allclose(table, oracle, atol=1e-10)
 
     def test_entries_strictly_inside_unit_interval(self, rng):
@@ -240,6 +243,36 @@ def labeling_tables(z, protos):
 def clustered_targets(rng):
     z = rng.normal(size=(4, 40)) + np.repeat(rng.normal(size=(4, 5)) * 2.0, 8, axis=1)
     return z, rng.normal(size=(4, 5))
+
+
+class TestSpProbabilities:
+    """The table ``sp`` reads: the targets against the k-means centers run
+    from the prototypes and matched to the classes."""
+
+    def test_sample_at_center_wins(self):
+        # k-means moves the centers from the prototypes onto the samples
+        z, protos = np.eye(3)[:, [0, 1, 2, 1]], 0.9 * np.eye(3)
+        table = labeling_tables(z, protos)["sp"]
+        np.testing.assert_array_equal(np.argmax(table, axis=1), [0, 1, 2, 1])
+        classes, _ = pseudo_label(z, protos, "sp")
+        assert classes.tolist() == [0, 1, 2, 1]
+
+    def test_equidistant_uniform(self):
+        table = labeling_tables(np.zeros((5, 5)), np.eye(5))["sp"]
+        np.testing.assert_allclose(table, 0.2, atol=1e-12)
+
+    def test_rows_sum_to_one_vs_oracle(self, rng):
+        z, protos = clustered_targets(rng)
+        centers, _ = reference_kmeans(z, protos, KMEANS_MAX_ITER)
+        order, _ = brute_force_assignment(cdist(centers.T, protos.T))
+        matched = np.empty_like(centers)
+        matched[:, order] = centers
+        table = labeling_tables(z, protos)["sp"]
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-10)
+        oracle = mp_softmax_rows(euclidean_rows(z, matched))
+        np.testing.assert_allclose(table, oracle, atol=1e-10)
+        _, confidences = pseudo_label(z, protos, "sp")
+        np.testing.assert_allclose(confidences, oracle.max(axis=1), atol=1e-10)
 
 
 class TestFuseAndLabel:

@@ -6,7 +6,7 @@ pipeline (fused labeling, progressive selection) and compares the result
 with a plain 1-nearest-neighbor baseline that ignores the shift.
 """
 
-import numpy as np
+import warnings
 
 from splda import RunConfig, gen_synthetic, nn_baseline, run
 
@@ -19,7 +19,9 @@ print(f"1NN baseline without adaptation: {baseline:.1f}%")
 
 config = RunConfig(pca_dim=20, subspace_dim=10, iterations=10,
                    labeling="fused", selection="progressive")
-result = run(source, target, config)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    result = run(source, target, config)
 
 print("\niteration  selected  accuracy")
 for snap in result.snapshots:
@@ -28,7 +30,7 @@ for snap in result.snapshots:
 print(f"\nfinal accuracy after {config.iterations} iterations: "
       f"{result.final_accuracy:.1f}%  (baseline {baseline:.1f}%)")
 # a subspace narrower than requested would be named here
-print(f"warnings: {list(result.warnings) or 'none'}")
+print(f"warnings: {[str(w.message) for w in caught] or 'none'}")
 
 gain = result.final_accuracy - baseline
 print(f"adaptation gain over the baseline: {gain:+.1f} points")

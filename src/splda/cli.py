@@ -6,8 +6,10 @@ siblings. An ``adapt`` or ``ablate`` task is one source/target pair and a
 slice of its configs (one for adapt, the nine grid cells for ablate): the
 worker loads and prepares the pair, runs the slice on it and returns the
 records, so a worker holds one prepared pair and none crosses a process.
-Reports are single JSON documents with a fixed schema version, serialized
-with sorted keys so equal results produce equal bytes.
+The library raises its warnings, and the CLI is the one place that
+records them: each piece of work runs under :func:`_recording`. Reports
+are single JSON documents with a fixed schema version, serialized with
+sorted keys so equal results produce equal bytes.
 
 Each command imports only what it runs: ``pipeline``, and with it scipy, is
 imported inside the ``adapt``/``ablate`` workers, so ``synth``,
@@ -21,6 +23,7 @@ import os
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 
 from .data import ABLATION_GRID, LABELING_MODES, RunConfig, SELECTION_MODES
 from .dataio import gen_synthetic, load_features, nn_baseline, save_features
@@ -69,20 +72,33 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+@contextmanager
+def _recording(records: list):
+    """Run the block under recorded warnings and absorb its failure.
+
+    The block's warnings are appended to each record's ``warnings``, and an
+    exception marks each record failed with its description, so ok and
+    failed records keep their warnings alike.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        except Exception as exc:  # noqa: BLE001 - any task failure is reportable
+            for record in records:
+                record.update(status="failed", error=_describe(exc))
+    for record in records:
+        record["warnings"] += [str(w.message) for w in caught]
+
+
 def _baseline_task(task: dict) -> dict:
     """Worker for one 1NN baseline; returns a report record."""
     record = _record(task["source"], task["target"], {})
     started = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            src = load_features(task["source"], domain="source")
-            tgt = load_features(task["target"], domain="target")
-            record["final_accuracy"] = nn_baseline(src, tgt)
-        except Exception as exc:  # noqa: BLE001 - any task failure is reportable
-            record["status"] = "failed"
-            record["error"] = _describe(exc)
-    record["warnings"] = [str(w.message) for w in caught]
+    with _recording([record]):
+        src = load_features(task["source"], domain="source")
+        tgt = load_features(task["target"], domain="target")
+        record["final_accuracy"] = nn_baseline(src, tgt)
     record["wall_time_s"] = time.perf_counter() - started
     return record
 
@@ -91,35 +107,28 @@ def _pair_task(task: dict) -> list:
     """Worker that prepares one pair and runs a slice of its configs on it.
 
     Returns one record per config. A pair that fails to load or prepare
-    fails them all with its error; a config that fails keeps the pair's
-    preparation warnings and those its loop raised before the failure.
+    fails them all with its error. Each record's warnings are its pair's
+    load and preparation warnings followed by those of its own run, which
+    a failed run keeps up to its failure.
     """
     from .pipeline import prepare, run_prepared
 
     records = [_record(task["source"], task["target"], c) for c in task["configs"]]
     started = time.perf_counter()
     prepared = None
-    try:
+    with _recording(records):
         # the config is checked before the pair, as a single run checks it
         pca_dim = RunConfig(**task["configs"][0]).pca_dim
         src = load_features(task["source"], domain="source")
         tgt = load_features(task["target"], domain="target")
         prepared = prepare(src, tgt, pca_dim)
         del src, tgt  # the configs need only the prepared pair
-    except Exception as exc:  # noqa: BLE001 - any task failure is reportable
-        for record in records:
-            record.update(status="failed", error=_describe(exc))
     prepare_s = time.perf_counter() - started if task["timed_prepare"] else 0.0
     for record in records:
         started = time.perf_counter()
         if prepared is not None:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    record.update(run_prepared(prepared, RunConfig(**record["config"])).to_dict())
-                except Exception as exc:  # noqa: BLE001 - any task failure is reportable
-                    record.update(status="failed", error=_describe(exc), warnings=[
-                        *prepared.warnings, *(str(w.message) for w in caught)])
+            with _recording([record]):
+                record.update(run_prepared(prepared, RunConfig(**record["config"])).to_dict())
         record["wall_time_s"] = time.perf_counter() - started + prepare_s
     return records
 

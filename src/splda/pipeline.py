@@ -11,9 +11,11 @@ iteration that selects nothing keeps the source-only labels, since a fit
 on no pseudo-labels is the source-only fit. Target ground truth is
 consulted only to fill the accuracy fields of the per-iteration snapshots;
 predictions never depend on it.
+
+Degenerate fits are raised as warnings where they happen (PCA and SLPP
+rank truncation, zero-vector normalization); nothing here records them.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,7 +50,6 @@ class AdaptationResult:
     predictions: np.ndarray
     snapshots: tuple
     config: RunConfig
-    warnings: tuple = ()
 
     @property
     def final_accuracy(self) -> float | None:
@@ -57,8 +58,8 @@ class AdaptationResult:
     def to_dict(self) -> dict:
         """A report task's JSON body; serializing it twice gives equal bytes.
 
-        The CLI adds only ``source``, ``target``, ``status``, ``error`` and
-        ``wall_time_s`` to it.
+        The CLI adds only ``source``, ``target``, ``status``, ``error``,
+        ``wall_time_s`` and ``warnings`` to it.
         """
         return {
             "config": self.config.to_dict(),
@@ -66,7 +67,6 @@ class AdaptationResult:
             "selected_counts": [s.selected_count for s in self.snapshots],
             "final_accuracy": self.final_accuracy,
             "predictions": self.predictions.tolist(),
-            "warnings": list(self.warnings),
         }
 
 
@@ -78,8 +78,8 @@ class PreparedPair:
     coordinates; the raw features are not kept. ``source_labels`` and
     ``target_truth`` are dense 0-based ids that ``label_names`` maps back to
     the caller's class ids. Every array is read-only because every run on
-    the pair shares it. ``warnings`` holds the messages raised while
-    preparing, and ``pca_dim`` the component count that was requested.
+    the pair shares it. ``pca_dim`` is the component count that was
+    requested.
     """
 
     source: np.ndarray
@@ -88,7 +88,6 @@ class PreparedPair:
     target_truth: np.ndarray | None
     label_names: tuple
     pca_dim: int
-    warnings: tuple = ()
 
     @property
     def n_classes(self) -> int:
@@ -105,9 +104,7 @@ def prepare(src: DomainDataset, tgt: DomainDataset, pca_dim: int) -> PreparedPai
     """
     pca_dim = as_count("pca_dim", pca_dim)
     source_ids, target_truth, label_names = validate_pair(src, tgt)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        xs, xt = map(l2_normalize_columns, pca_fit((src.features, tgt.features), pca_dim))
+    xs, xt = map(l2_normalize_columns, pca_fit((src.features, tgt.features), pca_dim))
     for a in (xs, xt, source_ids, target_truth):
         if a is not None:
             a.setflags(write=False)
@@ -118,7 +115,6 @@ def prepare(src: DomainDataset, tgt: DomainDataset, pca_dim: int) -> PreparedPai
         target_truth=target_truth,
         label_names=label_names,
         pca_dim=pca_dim,
-        warnings=tuple(str(w.message) for w in caught),
     )
 
 
@@ -130,8 +126,8 @@ def run(src: DomainDataset, tgt: DomainDataset, config: RunConfig) -> Adaptation
 def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
     """Run the adaptation loop on a pair that :func:`prepare` has made.
 
-    The result's warnings are the preparation's followed by the loop's. A
-    run that fails re-emits the warnings its loop raised, then raises.
+    Each SLPP fit that drops axes raises its ``RankTruncationWarning`` as
+    it happens, also in a run that fails later.
     """
     if config.pca_dim != prepared.pca_dim:
         raise ValueError(
@@ -156,30 +152,20 @@ def run_prepared(prepared: PreparedPair, config: RunConfig) -> AdaptationResult:
         return IterationSnapshot(iteration=k, selected_count=n_selected, accuracy=acc)
 
     nothing = np.empty(0, dtype=int)
-    caught = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            source_only = classes, confidences = fit_and_label(nothing, nothing)
-            snapshots = [snapshot(0, 0, classes)]
-            for k in range(1, config.iterations + 1):
-                chosen = select(classes, confidences, k, config.iterations, config.selection)
-                if chosen.size:
-                    classes, confidences = fit_and_label(chosen, classes)
-                else:
-                    # a fit on no pseudo-labels is the source-only fit
-                    classes, confidences = source_only
-                snapshots.append(snapshot(k, chosen.size, classes))
-    except Exception:
-        # a failed run has no result to hold its warnings, so they go on
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        raise
+    source_only = classes, confidences = fit_and_label(nothing, nothing)
+    snapshots = [snapshot(0, 0, classes)]
+    for k in range(1, config.iterations + 1):
+        chosen = select(classes, confidences, k, config.iterations, config.selection)
+        if chosen.size:
+            classes, confidences = fit_and_label(chosen, classes)
+        else:
+            # a fit on no pseudo-labels is the source-only fit
+            classes, confidences = source_only
+        snapshots.append(snapshot(k, chosen.size, classes))
     return AdaptationResult(
         predictions=np.asarray(prepared.label_names)[classes],
         snapshots=tuple(snapshots),
         config=config,
-        warnings=prepared.warnings + tuple(str(w.message) for w in caught),
     )
 
 

@@ -242,7 +242,7 @@ class TestAdapt:
     def test_task_is_result_dict_plus_task_fields(self, pair_files, tmp_path):
         _, report = run_adapt(pair_files, tmp_path, "--no-timing")
         task = report["tasks"][0]
-        for field in ("source", "target", "status", "error", "wall_time_s"):
+        for field in ("source", "target", "status", "error", "wall_time_s", "warnings"):
             del task[field]
         src = load_features(pair_files[0])
         tgt = load_features(pair_files[1], domain="target")
